@@ -17,6 +17,7 @@ import random
 import sys
 import time
 
+from . import __version__ as VERSION
 from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring, boolean_ring
 from .caps import default_cap
 from .coboundary import extend_cocycle, extend_cocycle_split, restrict_cochain, solve_coboundary
@@ -34,8 +35,6 @@ from .massey import (
     strong_massey_check,
     trivial_defining_system,
 )
-
-VERSION = "0.1.0"
 
 GRID_HEADER = ["k", "s", "cochains", "cocycles", "coboundaries", "hh"]
 BAR_HEADER = ["d", "increment", "cumulative"]
@@ -446,10 +445,20 @@ def _add_output_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _add_cap_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=None,
         help="size guard override (default from KOSZULHH_CAP)",
     )
@@ -493,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-internal-degree", type=int, default=8)
     p.add_argument(
         "--cap",
-        type=int,
+        type=_positive_int,
         default=None,
         help="bar matrix node guard (default from KOSZULHH_BAR_CAP)",
     )
@@ -573,6 +582,9 @@ def main(argv=None) -> int:
         text = _render(report, args)
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("out of memory: the computation does not fit; try a smaller input", file=sys.stderr)
         return 3
     except (UsageError, NotACocycleError, InvalidDefiningSystemError) as e:
         print(f"error: {e}", file=sys.stderr)

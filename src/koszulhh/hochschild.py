@@ -2,10 +2,13 @@
 
 Cochains of bidegree (k, s) are maps from admissible length-k sequences to
 the degree-(k+s) piece of the module algebra; the differential multiplies
-the first and last sequence entries into the value.  Because every row of
-the assembled differential touches at most two coordinates (each end
-contributes at most one basis element), ranks and kernels reduce to
-union-find on the coordinate graph, which keeps full bidegree grids cheap.
+the first and last sequence entries into the value.  Every row of the
+differential touches at most two coordinates (each end contributes at most
+one basis element), so it is stored as two column indices per row, and
+ranks and kernels reduce to union-find on the coordinate graph.  Memory is
+linear in the cochain dimension; the (v_dim, atoms) = (2, 4) grid through
+k = 7 runs in about 200 MB.  Coboundaries of single cochains are computed
+sequence by sequence without building the matrix.
 
 The coefficient algebra may be built on a subring of the module's Boolean
 ring: sequences then run over the subring's blocks, which act on the module
@@ -17,16 +20,15 @@ internal degree by internal degree, as a cross-check on the Koszul route.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring
-from .caps import default_cap
+from .caps import bar_cap, default_cap
 from .errors import CapExceeded
 from .gf2 import BitMatrix, echelon_rank
 from .koszul import admissible_tuples, count_admissible
-
-import os
 
 
 @dataclass(frozen=True)
@@ -122,24 +124,32 @@ class _DSU:
 
 @dataclass(frozen=True)
 class SparseDifferential:
-    """Rows as column bitmasks; every row has at most two set bits."""
+    """A GF(2) matrix with at most two entries per row, stored as column pairs.
 
-    rows: tuple[int, ...]
+    Row i has its entries at columns first[i] and second[i]; -1 marks an
+    absent entry, and the two are never equal.  Storage is 16 bytes per row,
+    so memory is linear in the cochain dimension.
+    """
+
+    first: array
+    second: array
     n_cols: int
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.first)
 
     def to_bitmatrix(self) -> BitMatrix:
-        return BitMatrix(list(self.rows), self.n_cols)
-
-    def apply(self, bits: int) -> int:
-        out = 0
-        for i, row in enumerate(self.rows):
-            if (row & bits).bit_count() & 1:
-                out |= 1 << i
-        return out
+        """Dense row bitmasks; only for small matrices."""
+        rows = []
+        for a, b in zip(self.first, self.second):
+            row = 0
+            if a >= 0:
+                row |= 1 << a
+            if b >= 0:
+                row |= 1 << b
+            rows.append(row)
+        return BitMatrix(rows, self.n_cols)
 
 
 def _action_rows(alg: ConnectedSumAlgebra, is_v: bool, payload: int, elt_deg: int, src_deg: int):
@@ -165,6 +175,14 @@ def _action_rows(alg: ConnectedSumAlgebra, is_v: bool, payload: int, elt_deg: in
     for a in _bits(payload):
         rows[out_shift + a] = 1 << (in_shift + a)
     return rows
+
+
+def _column_mask(cols: list[int]) -> int:
+    """Bitmask with the given ascending column indices set."""
+    buf = bytearray((cols[-1] >> 3) + 1)
+    for c in cols:
+        buf[c >> 3] |= 1 << (c & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _bits(mask: int):
@@ -200,7 +218,7 @@ class HochschildComplex:
         self.m = alg.v_dim
         self.nj = len(self.blocks)
         self._rank_cache: dict = {}
-        self._diff_cache: dict = {}
+        self._index_cache: dict[int, dict] = {}
         self._bar_cache: dict = {}
 
     # -- coefficient generators ------------------------------------------
@@ -241,46 +259,46 @@ class HochschildComplex:
 
     # -- differential ------------------------------------------------------
 
+    def _action_columns(self, j: int) -> list[list[int]]:
+        """Per generator, the input column of each output coordinate (-1: none).
+
+        Generators act from module degree j to j+1, one input column per
+        output coordinate at most.
+        """
+        cols = []
+        for g in range(self.generator_count):
+            payload = g if g < self.m else self.generator_mask(g)
+            rows = _action_rows(self.alg, self.is_v(g), payload, 1, j)
+            cols.append([row.bit_length() - 1 for row in rows])
+        return cols
+
     def differential(self, k: int, s: int) -> SparseDifferential:
-        """Matrix of the coboundary from bidegree (k, s) to (k+1, s)."""
-        j = k + s
-        jc = min(j, 2)
-        key = (k, jc)
-        hit = self._diff_cache.get(key)
-        if hit is not None:
-            return hit
-        dim_in = self.module_dim(j) if j >= 0 else 0
-        dim_out = self.module_dim(j + 1) if j + 1 >= 0 else 0
+        """Matrix of the coboundary from bidegree (k, s) to (k+1, s).
+
+        Row (u, r) is coordinate r of df(u) = u[0] f(u[1:]) + f(u[:-1]) u[-1].
+        Each term contributes at most one column; the two coincide only for a
+        constant sequence, where they cancel and the row is empty.
+        """
+        dim_in, dim_out = self.module_dim(k + s), self.module_dim(k + s + 1)
         n_cols = count_admissible(self.m, self.nj, k) * dim_in
         if dim_in == 0 or dim_out == 0:
-            rows = (0,) * (count_admissible(self.m, self.nj, k + 1) * dim_out)
-            result = SparseDifferential(rows, n_cols)
-            self._diff_cache[key] = result
-            return result
-        seqs_in = self.sequences(k)
-        seqs_out = self.sequences(k + 1)
-        index_in = {t: i for i, t in enumerate(seqs_in)}
-        act = [
-            _action_rows(self.alg, self.is_v(g), g if g < self.m else self.generator_mask(g), 1, j)
-            for g in range(self.generator_count)
-        ]
-        rows = [0] * (len(seqs_out) * dim_out)
-        for ui, u in enumerate(seqs_out):
-            base = ui * dim_out
-            left = act[u[0]]
-            right = act[u[-1]]
-            off_r = index_in[u[1:]] * dim_in
-            off_l = index_in[u[:-1]] * dim_in
-            for r in range(dim_out):
-                acc = 0
-                if left[r]:
-                    acc ^= left[r] << off_r
-                if right[r]:
-                    acc ^= right[r] << off_l
-                rows[base + r] = acc
-        result = SparseDifferential(tuple(rows), n_cols)
-        self._diff_cache[key] = result
-        return result
+            empty = array("q", [-1]) * (count_admissible(self.m, self.nj, k + 1) * dim_out)
+            return SparseDifferential(empty, array("q", empty), n_cols)
+        offset = {t: i * dim_in for i, t in enumerate(self.sequences(k))}
+        cols = self._action_columns(k + s)
+        absent = [-1] * dim_out
+        first = array("q")
+        second = array("q")
+        for u in self.sequences(k + 1):
+            off_r = offset[u[1:]]
+            off_l = offset[u[:-1]]
+            if off_r == off_l:
+                first.extend(absent)
+                second.extend(absent)
+                continue
+            first.extend([off_r + c if c >= 0 else -1 for c in cols[u[0]]])
+            second.extend([off_l + c if c >= 0 else -1 for c in cols[u[-1]]])
+        return SparseDifferential(first, second, n_cols)
 
     def rank(self, k: int, s: int) -> int:
         j = k + s
@@ -289,45 +307,45 @@ class HochschildComplex:
         if hit is not None:
             return hit
         diff = self.differential(k, s)
-        _, n_free = self._components(diff)
-        r = diff.n_cols - n_free
+        _, free_roots = self._components(diff)
+        r = diff.n_cols - len(free_roots)
         self._rank_cache[key] = r
         return r
 
     @staticmethod
-    def _components(diff: SparseDifferential):
-        """Union-find pass: returns (dsu, forced set, free roots) packed as needed."""
+    def _components(diff: SparseDifferential) -> tuple[_DSU, list[int]]:
+        """Union-find over the columns: a two-entry row joins its columns, a
+        one-entry row forces its column to zero.  Returns the union-find and
+        the roots of the components no row forces, one kernel vector each.
+        """
         n = diff.n_cols
         dsu = _DSU(n)
         forced = bytearray(n)
-        for row in diff.rows:
-            if row == 0:
-                continue
-            low = row & -row
-            a = low.bit_length() - 1
-            rest = row ^ low
-            if rest == 0:
+        for a, b in zip(diff.first, diff.second):
+            if a < 0:
+                if b >= 0:
+                    forced[b] = 1
+            elif b < 0:
                 forced[a] = 1
             else:
-                b = rest.bit_length() - 1
                 dsu.union(a, b)
         roots_forced = bytearray(n)
         for c in range(n):
             if forced[c]:
                 roots_forced[dsu.find(c)] = 1
         free_roots = [c for c in range(n) if dsu.find(c) == c and not roots_forced[c]]
-        return (dsu, free_roots), len(free_roots)
+        return dsu, free_roots
 
     def cocycle_space(self, k: int, s: int) -> list[int]:
         """Kernel basis of the coboundary as flat column bitmasks."""
         diff = self.differential(k, s)
-        (dsu, free_roots), _ = self._components(diff)
-        groups: dict[int, int] = {r: 0 for r in free_roots}
+        dsu, free_roots = self._components(diff)
+        members: dict[int, list[int]] = {r: [] for r in free_roots}
         for c in range(diff.n_cols):
-            r = dsu.find(c)
-            if r in groups:
-                groups[r] |= 1 << c
-        return [groups[r] for r in free_roots]
+            group = members.get(dsu.find(c))
+            if group is not None:
+                group.append(c)
+        return [_column_mask(cs) for cs in members.values()]
 
     def hh(self, k: int, s: int) -> HhReport:
         if k < 0:
@@ -357,8 +375,32 @@ class HochschildComplex:
         return Cochain(k, s, (0,) * count_admissible(self.m, self.nj, k))
 
     def coboundary_of(self, f: Cochain) -> Cochain:
-        diff = self.differential(f.k, f.s)
-        return self.cochain_from_bits(f.k + 1, f.s, diff.apply(self.cochain_to_bits(f)))
+        """df(u) = u[0] f(u[1:]) + f(u[:-1]) u[-1], one output sequence at a time."""
+        dim_in, dim_out = self.module_dim(f.k + f.s), self.module_dim(f.k + f.s + 1)
+        if dim_in == 0 or dim_out == 0:
+            return self.zero_cochain(f.k + 1, f.s)
+        cols = self._action_columns(f.k + f.s)
+        # image of a value under each generator, filled on demand so that a
+        # wide module piece never costs 2**dim_in entries
+        tables: list[dict[int, int]] = [{0: 0} for _ in cols]
+
+        def act(g: int, v: int) -> int:
+            image = tables[g].get(v)
+            if image is None:
+                image = 0
+                for r, c in enumerate(cols[g]):
+                    if c >= 0 and (v >> c) & 1:
+                        image |= 1 << r
+                tables[g][v] = image
+            return image
+
+        index = self.sequence_index(f.k)
+        values = f.values
+        out = [
+            act(u[0], values[index[u[1:]]]) ^ act(u[-1], values[index[u[:-1]]])
+            for u in self.sequences(f.k + 1)
+        ]
+        return Cochain(f.k + 1, f.s, tuple(out))
 
     def is_cocycle(self, f: Cochain) -> bool:
         return self.coboundary_of(f).is_zero()
@@ -372,11 +414,10 @@ class HochschildComplex:
         return self.cochain_from_bits(k, s, bits)
 
     def sequence_index(self, k: int) -> dict:
-        key = ("idx", k)
-        hit = self._diff_cache.get(key)
+        hit = self._index_cache.get(k)
         if hit is None:
             hit = {t: i for i, t in enumerate(self.sequences(k))}
-            self._diff_cache[key] = hit
+            self._index_cache[k] = hit
         return hit
 
     def value(self, f: Cochain, seq: tuple[int, ...]) -> GradedElement:
@@ -398,7 +439,7 @@ class HochschildComplex:
         """
         if max_internal_degree < 0:
             raise ValueError("negative internal degree")
-        cap = _bar_cap() if cap is None else cap
+        cap = bar_cap() if cap is None else cap
         bar = self._bar_cache.get(s)
         if bar is None:
             bar = _BarComplex(self, s)
@@ -416,13 +457,6 @@ class HochschildComplex:
                 cum += piece
                 factors.append(BarFactor(d, cum, piece))
         return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from)
-
-
-def _bar_cap() -> int:
-    raw = os.environ.get("KOSZULHH_BAR_CAP")
-    if raw is not None:
-        return int(raw)
-    return 250_000
 
 
 class _BarComplex:

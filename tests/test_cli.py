@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from koszulhh import cli
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex
@@ -77,6 +78,36 @@ def test_hh_grid_cap(capsys):
     code, out, err = run(capsys, "hh-grid", "--atoms", "3", "--k-max", "6", "--cap", "10")
     assert code == 3
     assert err.startswith("cap exceeded:")
+
+
+def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_hh_grid", exhausted)
+    code, out, err = run(capsys, "hh-grid", "--atoms", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("out of memory:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "ten"])
+def test_cap_option_must_be_a_positive_integer(capsys, cap):
+    for argv in (
+        ("hh-grid", "--atoms", "3"),
+        ("bar-oracle", "--atoms", "3", "--k", "2", "--s", "-1"),
+        ("massey", "--atoms", "3", "--top", "4", "--classes", "1:100,1:010,1:001", "--enumerate"),
+    ):
+        code, out, err = run(capsys, *argv, "--cap", cap)
+        assert code == 2 and out == "" and "--cap" in err
+
+
+@pytest.mark.parametrize("value, message", [("-1", "must be positive"), ("0", "must be positive"),
+                                            ("lots", "must be an integer")])
+def test_bar_cap_environment_is_validated(capsys, monkeypatch, value, message):
+    monkeypatch.setenv("KOSZULHH_BAR_CAP", value)
+    code, out, err = run(capsys, "bar-oracle", "--atoms", "3", "--k", "2", "--s", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: KOSZULHH_BAR_CAP {message}") and err.count("\n") == 1
 
 
 def test_kadeishvili(capsys):

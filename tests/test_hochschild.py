@@ -8,8 +8,10 @@ import pytest
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, Subring
 from koszulhh.errors import CapExceeded
+from koszulhh.gf2 import BitMatrix
 from koszulhh.hochschild import (
     HochschildComplex,
+    _action_rows,
     cochain_differential,
     hh_bar_oracle,
     hh_dim,
@@ -57,6 +59,70 @@ def test_hand_checked_differential_values():
     # the indicator x1 -> x1 is a cocycle: both terms coincide and cancel
     f = hc.cochain_from_bits(1, 0, 0b001)
     assert hc.is_cocycle(f)
+
+
+def _reference_rows(hc, k, s):
+    """Coboundary rows as full-width column bitmasks, assembled densely."""
+    j = k + s
+    dim_in = hc.module_dim(j) if j >= 0 else 0
+    dim_out = hc.module_dim(j + 1) if j + 1 >= 0 else 0
+    if dim_in == 0 or dim_out == 0:
+        return [0] * (count_admissible(hc.m, hc.nj, k + 1) * dim_out)
+    index_in = {t: i for i, t in enumerate(hc.sequences(k))}
+    act = [
+        _action_rows(hc.alg, hc.is_v(g), g if g < hc.m else hc.generator_mask(g), 1, j)
+        for g in range(hc.generator_count)
+    ]
+    rows = []
+    for u in hc.sequences(k + 1):
+        off_r = index_in[u[1:]] * dim_in
+        off_l = index_in[u[:-1]] * dim_in
+        for r in range(dim_out):
+            rows.append((act[u[0]][r] << off_r) ^ (act[u[-1]][r] << off_l))
+    return rows
+
+
+# (v_dim, atoms, subring blocks or None); with k in 0..3 and s chosen so
+# that the value degree k+s runs over -1..3, every case meets j<0, j=0,
+# j=1 and j>=2, and constant sequences (all of length 1, free ones beyond)
+REFERENCE_CASES = [
+    (0, 2, None),
+    (1, 1, None),
+    (2, 1, None),
+    (1, 3, None),
+    (0, 3, ((0, 1), (2,))),
+    (2, 3, ((0, 2), (1,))),
+]
+
+
+@pytest.mark.parametrize("m, n, blocks", REFERENCE_CASES)
+def test_pair_differential_matches_the_dense_reference(m, n, blocks):
+    rng = random.Random(m * 10 + n)
+    ring = BooleanRing(n)
+    alg = ConnectedSumAlgebra(m, ring)
+    subring = None
+    if blocks is not None:
+        subring = Subring(ring, [sum(ring.atom(a) for a in b) for b in blocks])
+    hc = HochschildComplex(alg, subring)
+    for k in range(4):
+        for j in range(-1, 4):
+            s = j - k
+            diff = hc.differential(k, s)
+            assert len(diff.first) == len(diff.second) == diff.n_rows
+            for a, b in zip(diff.first, diff.second):
+                assert -1 <= a < diff.n_cols and -1 <= b < diff.n_cols
+                assert a < 0 or a != b
+            dense = BitMatrix(_reference_rows(hc, k, s), hc.cochain_dim(k, s))
+            assert diff.to_bitmatrix() == dense
+            assert hc.rank(k, s) == dense.rank()
+            for _ in range(3):
+                bits = rng.getrandbits(dense.cols) if dense.cols else 0
+                f = hc.cochain_from_bits(k, s, bits)
+                assert hc.cochain_to_bits(hc.coboundary_of(f)) == dense.mul_vec(bits)
+            basis = hc.cocycle_space(k, s)
+            assert len(basis) == hc.hh(k, s).cocycles
+            assert BitMatrix(basis, dense.cols).rank() == len(basis)
+            assert all(dense.mul_vec(v) == 0 for v in basis)
 
 
 def test_hh_dimension_grid_frozen():
