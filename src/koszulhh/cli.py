@@ -305,11 +305,16 @@ def cmd_extend_cocycle(args) -> tuple[dict, int]:
 
 def _massey_algebra(args):
     if args.dg_file:
-        with open(args.dg_file) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.dg_file) as fh:
+                data = json.load(fh)
+        except (OSError, json.JSONDecodeError) as e:
+            raise UsageError(f"unusable dg algebra file: {e}") from None
+        if not isinstance(data, dict):
+            raise UsageError(f"bad dg algebra file: expected a JSON object, got {type(data).__name__}")
         try:
             return dg_algebra_from_dict(data), {"dgDims": list(data["dims"])}
-        except (KeyError, ValueError) as e:
+        except (KeyError, IndexError, TypeError, ValueError) as e:
             raise UsageError(f"bad dg algebra file: {e}") from None
     alg, _ = _build_algebra(args)
     dg = from_connected_sum(alg, args.top)
@@ -455,6 +460,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tuple_length(text: str) -> int:
+    value = _positive_int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"a Massey product needs at least 2 classes, got {value}")
+    return value
+
+
 def _add_cap_opt(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--cap",
@@ -539,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=None, help="comma separated DEGREE:BITS entries")
     p.add_argument("--enumerate", action="store_true", help="all defining systems")
     p.add_argument("--strong-check", action="store_true", help="sampled vanishing check")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument("--max-n", type=_tuple_length, default=5, help="longest sampled tuple, at least 2")
     p.add_argument("--seed", type=int, default=0)
     _add_cap_opt(p)
     _add_output_opts(p)

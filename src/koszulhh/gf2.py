@@ -286,24 +286,58 @@ def solve(m: BitMatrix, b: int | BitVector) -> BitVector | None:
     return m.solve(b)
 
 
+class EchelonBasis:
+    """Incremental row basis, forward elimination pivoting on the highest set bit.
+
+    Rows are column bitmasks; every stored row has its own leading column.
+    Bulk integer xors make this the fastest route for wide matrices with
+    banded supports, and the high pivot keeps stored rows no wider than their
+    leading column.  A sum of stored rows leads with the largest leading
+    column among them, so the rows leading below a column f span exactly the
+    vectors of the row space supported below f.  Hence the pivot set depends
+    only on the row space, not on insertion order, and the number of pivots
+    >= f is the rank of the rows restricted to the columns >= f.
+
+    >>> b = EchelonBasis()
+    >>> b.extend([0b011, 0b110, 0b101])
+    >>> b.rank, b.pivots()
+    (2, [1, 2])
+    """
+
+    __slots__ = ("_rows",)
+
+    def __init__(self):
+        self._rows: dict[int, int] = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def extend(self, int_rows: Iterable[int]) -> None:
+        basis = self._rows
+        for r in int_rows:
+            while r:
+                p = r.bit_length() - 1
+                b = basis.get(p)
+                if b is None:
+                    basis[p] = r
+                    break
+                r ^= b
+
+    def pivots(self) -> list[int]:
+        """Leading columns of the stored rows, ascending."""
+        return sorted(self._rows)
+
+
 def echelon_rank(int_rows: Iterable[int]) -> int:
     """Rank of a GF(2) matrix whose rows are given as column bitmasks.
 
-    Forward elimination only, pivoting on the highest set bit; no back
-    substitution and no echelon basis is returned.  Bulk integer xors make
-    this the fastest route for wide matrices with banded supports, and the
-    high pivot keeps stored rows no wider than their leading column.
+    The rows are consumed as they come and reduced into an ``EchelonBasis``;
+    no echelon basis is returned.
     """
-    basis: dict[int, int] = {}
-    for r in int_rows:
-        while r:
-            p = r.bit_length() - 1
-            b = basis.get(p)
-            if b is None:
-                basis[p] = r
-                break
-            r ^= b
-    return len(basis)
+    basis = EchelonBasis()
+    basis.extend(int_rows)
+    return basis.rank
 
 
 def sparse_rank(row_supports: Iterable[Iterable[int]], num_cols: int | None = None) -> int:

@@ -16,18 +16,26 @@ by their atom masks.
 
 A reduced bar-complex oracle recomputes the same cohomology independently,
 internal degree by internal degree, as a cross-check on the Koszul route.
+Its truncated matrices are streamed as packed rows in ascending degree and
+never stored; full ranks are cached per (q, top), so a zero cell costs two
+eliminations.  The argument-degree filtration of a nonzero cell comes from
+one more pass per matrix: the highest-bit pivots of the k-th coboundary give
+the rank of every column suffix, and the rank after each output degree of
+the (k-1)-th gives every row prefix.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import chain
+from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring
 from .caps import bar_cap, default_cap
 from .errors import CapExceeded
-from .gf2 import BitMatrix, echelon_rank
+from .gf2 import BitMatrix, EchelonBasis, echelon_rank
 from .koszul import admissible_tuples, count_admissible
 
 
@@ -463,16 +471,25 @@ class _BarComplex:
     """Reduced bar cochains Hom((Q+^(x)q)_e, M_(e+s)) for one shift s.
 
     Tensor factors are basis elements of the positive part of the coefficient
-    algebra, tagged (degree, index).  Ranks of the degree-truncated
-    differentials are cached per (q, d).
+    algebra, tagged (degree, index).  Columns of the q-th coboundary are laid
+    out in blocks of ascending argument degree, so the truncation at degree
+    top is the leading block of columns and the rows of output degree <= top.
+    Each truncated matrix is assembled on the fly, row by row in ascending
+    output degree, and never stored; factor actions and products are
+    tabulated once per output degree.  Its full rank is cached per (q, top),
+    so adjacent bidegrees share it.  Tensor counts, cochain dimensions (hence
+    block offsets), bases and their indices are memoized per instance, so a
+    complex is freed together with its HochschildComplex.
     """
 
     def __init__(self, hc: HochschildComplex, s: int):
         self.hc = hc
         self.s = s
         self._rank_cache: dict = {}
-        self._rows_cache: dict = {}
+        self._count_cache: dict = {}
+        self._dim_cache: dict = {}
         self._basis_cache: dict = {}
+        self._index_cache: dict = {}
 
     def q_dim(self, e: int) -> int:
         if e < 1:
@@ -481,11 +498,16 @@ class _BarComplex:
             return self.hc.m + self.hc.nj
         return self.hc.nj
 
-    @lru_cache(maxsize=None)
     def tensor_count(self, q: int, e: int) -> int:
-        if q == 0:
-            return 1 if e == 0 else 0
-        return sum(self.q_dim(d1) * self.tensor_count(q - 1, e - d1) for d1 in range(1, e + 1))
+        key = (q, e)
+        hit = self._count_cache.get(key)
+        if hit is None:
+            if q == 0:
+                hit = 1 if e == 0 else 0
+            else:
+                hit = sum(self.q_dim(d1) * self.tensor_count(q - 1, e - d1) for d1 in range(1, e + 1))
+            self._count_cache[key] = hit
+        return hit
 
     def basis(self, q: int, e: int) -> list[tuple]:
         key = (q, e)
@@ -504,11 +526,31 @@ class _BarComplex:
         self._basis_cache[key] = out
         return out
 
+    def index_map(self, q: int, e: int) -> dict:
+        key = (q, e)
+        hit = self._index_cache.get(key)
+        if hit is None:
+            hit = {t: i for i, t in enumerate(self.basis(q, e))}
+            self._index_cache[key] = hit
+        return hit
+
     def module_dim(self, j: int) -> int:
         return self.hc.alg.graded_dim(j) if j >= 0 else 0
 
     def cochain_dim(self, q: int, d: int) -> int:
-        return sum(self.tensor_count(q, e) * self.module_dim(e + self.s) for e in range(d + 1))
+        """Dimension of the q-cochains of argument degree <= d."""
+        if d < 0:
+            return 0
+        key = (q, d)
+        hit = self._dim_cache.get(key)
+        if hit is None:
+            hit = self.cochain_dim(q, d - 1) + self.tensor_count(q, d) * self.module_dim(d + self.s)
+            self._dim_cache[key] = hit
+        return hit
+
+    def block_offset(self, q: int, e: int) -> int:
+        """Flat column offset of the degree-e block: cumulative lower-degree dims."""
+        return self.cochain_dim(q, e - 1)
 
     def workload(self, k: int, d: int) -> int:
         """Node count of the largest matrix needed for cohomology at (k, <=d)."""
@@ -536,123 +578,75 @@ class _BarComplex:
         b = f1[1] - self.hc.m if f1[0] == 1 else f1[1]
         return (f1[0] + f2[0], b)
 
-    def block_offset(self, q: int, e: int) -> int:
-        """Flat column offset of the degree-e block: cumulative lower-degree dims."""
-        return self.cochain_dim(q, e - 1) if e >= 1 else 0
+    def rows_for_degree(self, q: int, e: int) -> Iterator[int]:
+        """Nonzero rows of the bar coboundary with output argument degree exactly e.
 
-    def index_map(self, q: int, e: int) -> dict:
-        key = ("idx", q, e)
-        hit = self._basis_cache.get(key)
-        if hit is None:
-            hit = {t: i for i, t in enumerate(self.basis(q, e))}
-            self._basis_cache[key] = hit
-        return hit
-
-    def rows_for_degree(self, q: int, e: int) -> list[list[int]]:
-        """Rows of the bar coboundary with output argument degree exactly e.
-
-        Column indices use the absolute degree-graded layout (blocks in
-        ascending argument degree), so the rows for degrees <= d assemble the
-        truncated differential for every d.  Entries are column-index lists;
-        repeated entries cancel mod 2 when rows are packed into bitmasks.
+        Rows are column bitmasks in the absolute degree-graded layout, so the
+        rows for degrees <= d form the truncated differential for every d.
+        Repeated entries cancel mod 2.
         """
-        key = (q, e)
-        hit = self._rows_cache.get(key)
-        if hit is not None:
-            return hit
-        alg = self.hc.alg
         dim_out = self.module_dim(e + self.s)
-        rows_e: list[list[int]] = []
-        if dim_out and self.tensor_count(q + 1, e):
-            for w in self.basis(q + 1, e):
-                per_coord: list[list[int]] = [[] for _ in range(dim_out)]
-                # outer terms: first factor acts on the right-truncated input,
-                # last factor on the left-truncated input
-                for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
-                    e_in = e - w_act[0]
-                    dim_in = self.module_dim(e_in + self.s)
-                    if dim_in == 0:
-                        continue
-                    idx = self.index_map(q, e_in).get(rest)
-                    if idx is None:
-                        continue
-                    is_v, payload = self._factor_mask(w_act)
-                    act = _action_rows(alg, is_v, payload, w_act[0], e_in + self.s)
-                    base = self.block_offset(q, e_in) + idx * dim_in
-                    for r in range(dim_out):
-                        if act[r]:
-                            per_coord[r].append(base + (act[r].bit_length() - 1))
-                # inner terms: merge adjacent factors, module coordinate unchanged
-                base_off = self.block_offset(q, e)
-                for i in range(q):
-                    prod = self._product(w[i], w[i + 1])
-                    if prod is None:
-                        continue
-                    u = w[:i] + (prod,) + w[i + 2 :]
-                    idx = self.index_map(q, e).get(u)
-                    if idx is None:
-                        continue
-                    base = base_off + idx * dim_out
-                    for r in range(dim_out):
-                        per_coord[r].append(base + r)
-                rows_e.extend(per_coord)
-        self._rows_cache[key] = rows_e
-        return rows_e
+        if not dim_out or not self.tensor_count(q + 1, e):
+            return
+        factors = [(d1, i) for d1 in range(1, e + 1) for i in range(self.q_dim(d1))]
+        # per acting factor: (output coordinate, input column) pairs of its
+        # action, and the input block it reads
+        acting = {}
+        for f in factors:
+            e_in = e - f[0]
+            dim_in = self.module_dim(e_in + self.s)
+            if not dim_in:
+                continue
+            act = _action_rows(self.hc.alg, *self._factor_mask(f), f[0], e_in + self.s)
+            pairs = [(r, row.bit_length() - 1) for r, row in enumerate(act) if row]
+            if pairs:
+                acting[f] = (pairs, self.index_map(q, e_in), self.block_offset(q, e_in), dim_in)
+        products = {}
+        for f1 in factors:
+            for f2 in factors:
+                prod = self._product(f1, f2)
+                if prod is not None:
+                    products[(f1, f2)] = prod
+        base_off = self.block_offset(q, e)
+        index_e = self.index_map(q, e)
+        for w in self.basis(q + 1, e):
+            row = [0] * dim_out
+            # outer terms: first factor acts on the right-truncated input,
+            # last factor on the left-truncated input
+            for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
+                act = acting.get(w_act)
+                if act is None:
+                    continue
+                pairs, index_in, off, dim_in = act
+                base = off + index_in[rest] * dim_in
+                for r, c in pairs:
+                    row[r] ^= 1 << (base + c)
+            # inner terms: merge adjacent factors, module coordinate unchanged
+            for i in range(q):
+                prod = products.get(w[i : i + 2])
+                if prod is None:
+                    continue
+                base = base_off + index_e[w[:i] + (prod,) + w[i + 2 :]] * dim_out
+                for r in range(dim_out):
+                    row[r] ^= 1 << (base + r)
+            for packed in row:
+                if packed:
+                    yield packed
 
-    def _packed_rows(self, q: int, e_lo: int, e_hi: int, col_floor: int):
-        """Yield bitmask rows for output degrees in [e_lo, e_hi], high degrees first.
+    def rows(self, q: int, top: int) -> Iterator[int]:
+        """Rows of the coboundary truncated at argument degree top, ascending degree."""
+        return chain.from_iterable(self.rows_for_degree(q, e) for e in range(top + 1))
 
-        Entries below col_floor are dropped (column restriction); descending
-        order keeps the echelon basis banded during elimination.
-        """
-        for e in range(e_hi, e_lo - 1, -1):
-            for entries in self.rows_for_degree(q, e):
-                acc = 0
-                for c in entries:
-                    if c >= col_floor:
-                        acc ^= 1 << c
-                if acc:
-                    yield acc
-
-    def rank_cols_from(self, q: int, d_lo: int, top: int) -> int:
-        """Rank of the coboundary restricted to inputs of argument degree >= d_lo.
-
-        Outputs are truncated at degree top.  Rows with output degree below
-        d_lo cannot touch the surviving columns and are skipped.
-        """
+    def rank(self, q: int, top: int) -> int:
+        """Rank of the coboundary on cochains supported in argument degrees <= top."""
         if q < 0:
             return 0
-        key = ("ge", q, d_lo, top)
+        key = (q, top)
         hit = self._rank_cache.get(key)
-        if hit is not None:
-            return hit
-        r = echelon_rank(self._packed_rows(q, d_lo, top, self.block_offset(q, d_lo)))
-        self._rank_cache[key] = r
-        return r
-
-    def rank_rows_below(self, q: int, d_hi: int, top: int) -> int:
-        """Rank of the output components of argument degree < d_hi."""
-        if q < 0 or d_hi <= 0:
-            return 0
-        key = ("lt", q, d_hi, top)
-        hit = self._rank_cache.get(key)
-        if hit is not None:
-            return hit
-        r = echelon_rank(self._packed_rows(q, 0, min(d_hi - 1, top), 0))
-        self._rank_cache[key] = r
-        return r
-
-    def rank(self, q: int, d: int) -> int:
-        """Rank of the coboundary on cochains supported in argument degrees <= d."""
-        return self.rank_cols_from(q, 0, d)
-
-    def cohomology(self, k: int, d: int) -> int:
-        dim_k = self.cochain_dim(k, d)
-        if dim_k == 0:
-            return 0
-        r_out = self.rank(k, d)
-        r_in = self.rank(k - 1, d) if k >= 1 else 0
-        return dim_k - r_out - r_in
+        if hit is None:
+            hit = echelon_rank(self.rows(q, top))
+            self._rank_cache[key] = hit
+        return hit
 
     def graded_cohomology(self, k: int, top: int) -> list[int]:
         """Argument-degree graded pieces of H^k at truncation top.
@@ -662,20 +656,37 @@ class _BarComplex:
         decreasing filtration on cohomology difference to one piece per
         degree, and the pieces sum to the truncated cohomology.  A zero
         cohomology group forces every piece to zero without further ranks.
+
+        Otherwise one more pass over each matrix gives every floor at once.
+        The cocycles of degree >= d are the kernel of the k-th coboundary on
+        the columns from block_offset(k, d), whose rank is the number of
+        highest-bit pivots at or above that column.  The coboundaries meeting
+        them are the image of the (k-1)-th coboundary minus the image of its
+        rows of output degree < d, whose rank is read off after inserting the
+        rows degree by degree.
         """
         dim_k = self.cochain_dim(k, top)
         if dim_k == 0:
             return [0] * (top + 1)
-        r_in_full = self.rank(k - 1, top) if k >= 1 else 0
-        total = dim_k - self.rank(k, top) - r_in_full
-        if total == 0:
+        r_in = self.rank(k - 1, top)
+        if dim_k - self.rank(k, top) - r_in == 0:
             return [0] * (top + 1)
+        basis = EchelonBasis()
+        basis.extend(self.rows(k, top))
+        pivots = basis.pivots()
+        del basis  # free it before the second pass builds its own
+        # below[d]: rank of the rows of the (k-1)-th coboundary of output degree < d
+        below = [0] * (top + 2)
+        if k >= 1:
+            basis = EchelonBasis()
+            for e in range(top + 1):
+                basis.extend(self.rows_for_degree(k - 1, e))
+                below[e + 1] = basis.rank
         filtered = []
         for d in range(top + 2):
-            n_cols = dim_k - self.block_offset(k, d)
-            z = n_cols - self.rank_cols_from(k, d, top)
-            b = r_in_full - self.rank_rows_below(k - 1, d, top) if k >= 1 else 0
-            filtered.append(z - b)
+            floor = self.block_offset(k, d)
+            cocycles = dim_k - floor - (len(pivots) - bisect_left(pivots, floor))
+            filtered.append(cocycles - (r_in - below[d]))
         return [filtered[d] - filtered[d + 1] for d in range(top + 1)]
 
 

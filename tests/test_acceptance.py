@@ -32,7 +32,7 @@ from koszulhh.massey import (
     trivial_defining_system,
 )
 
-BAR_CAP = 250_000
+BAR_CAP = 330_000
 
 # dim HH^{1-s, s} for three atoms, frozen after the Koszul and bar paths agreed
 EXCEPTIONAL_FIXTURES = {
@@ -44,15 +44,11 @@ EXCEPTIONAL_FIXTURES = {
 
 # cells whose full-depth bar matrices exceed BAR_CAP, with the first skipped degree
 BAR_SKIP_CORNER = {
-    (1, 3, 5, -1): 8,
-    (1, 3, 5, -2): 8,
-    (1, 3, 5, -3): 8,
     (1, 3, 6, -1): 8,
     (1, 3, 6, -2): 8,
     (1, 3, 6, -3): 8,
     (1, 3, 6, -4): 8,
-    (2, 3, 4, -2): 8,
-    (2, 3, 5, -3): 7,
+    (2, 3, 5, -3): 8,
     (2, 3, 6, -4): 7,
 }
 

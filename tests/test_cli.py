@@ -306,6 +306,33 @@ def test_massey_usage_errors(capsys, tmp_path):
     assert code == 2 and "bad dg algebra file" in err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [(None, "error: unusable dg algebra file: "), ("[1, 2]", "error: bad dg algebra file: expected a JSON object")],
+)
+def test_massey_dg_file_errors_exit_2_in_one_line(capsys, tmp_path, content, message):
+    path = tmp_path / "dg.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "massey", "--dg-file", str(path), "--classes", "1:1")
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--samples", "-5", "must be positive, got -5"),
+        ("--samples", "0", "must be positive, got 0"),
+        ("--max-n", "1", "a Massey product needs at least 2 classes, got 1"),
+    ],
+)
+def test_massey_strong_check_rejects_vacuous_sampling(capsys, option, value, message):
+    code, out, err = run(capsys, "massey", "--atoms", "3", "--strong-check", option, value)
+    assert code == 2 and out == ""
+    assert err.rstrip().splitlines()[-1].endswith(f"argument {option}: {message}")
+
+
 def test_replay_round_trip(capsys, tmp_path):
     report_path = tmp_path / "bar.json"
     code, out, err = run(

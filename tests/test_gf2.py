@@ -9,6 +9,7 @@ import pytest
 from koszulhh.gf2 import (
     BitMatrix,
     BitVector,
+    EchelonBasis,
     echelon_rank,
     kernel_basis,
     rank,
@@ -142,3 +143,24 @@ def test_echelon_rank_matches_dense_rank():
 def test_echelon_rank_accepts_generators_and_zero_rows():
     assert echelon_rank(iter([])) == 0
     assert echelon_rank(iter([0, 0b101, 0b101, 0])) == 1
+
+
+def test_echelon_pivots_give_every_column_suffix_rank():
+    rng = random.Random(5)
+    for _ in range(60):
+        nr, nc = rng.randrange(1, 14), rng.randrange(1, 30)
+        # sparse rows, so that suffix ranks fall below the full rank unevenly
+        rows = [rng.getrandbits(nc) & rng.getrandbits(nc) for _ in range(nr)]
+        basis = EchelonBasis()
+        basis.extend(rows)
+        pivots = basis.pivots()
+        assert basis.rank == len(pivots) == BitMatrix(rows, nc).rank()
+        for _ in range(3):
+            shuffled = rows[:]
+            rng.shuffle(shuffled)
+            other = EchelonBasis()
+            other.extend(iter(shuffled))
+            assert other.pivots() == pivots
+        for floor in range(nc + 1):
+            restricted = BitMatrix([r >> floor for r in rows], nc - floor)
+            assert sum(p >= floor for p in pivots) == restricted.rank()

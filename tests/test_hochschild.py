@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, Subring
 from koszulhh.errors import CapExceeded
-from koszulhh.gf2 import BitMatrix
+from koszulhh.gf2 import BitMatrix, echelon_rank
 from koszulhh.hochschild import (
     HochschildComplex,
     _action_rows,
+    _BarComplex,
     cochain_differential,
     hh_bar_oracle,
     hh_dim,
@@ -241,6 +244,129 @@ def test_bar_cap_reports_reduced_truncation():
     assert rep.skipped_from is not None
     assert rep.max_internal_degree == 8
     assert len(rep.factors) == rep.skipped_from
+
+
+def _reference_bar_rows(bar, q, e):
+    """Rows of output degree e as column-index lists, assembled term by term,
+    with lookups, offsets and factor actions rebuilt for every tensor."""
+    hc = bar.hc
+    dim_out = bar.module_dim(e + bar.s)
+
+    def offset(q, e):
+        return sum(bar.tensor_count(q, d) * bar.module_dim(d + bar.s) for d in range(e))
+
+    def index(q, e):
+        return {t: i for i, t in enumerate(bar.basis(q, e))}.get
+
+    def factor_mask(factor):
+        d1, i = factor
+        if d1 == 1 and i < hc.m:
+            return True, i
+        return False, hc.blocks[i - hc.m if d1 == 1 else i]
+
+    rows = []
+    if not dim_out:
+        return rows
+    for w in bar.basis(q + 1, e):
+        per_coord = [[] for _ in range(dim_out)]
+        for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
+            e_in = e - w_act[0]
+            dim_in = bar.module_dim(e_in + bar.s)
+            if dim_in == 0:
+                continue
+            act = _action_rows(hc.alg, *factor_mask(w_act), w_act[0], e_in + bar.s)
+            base = offset(q, e_in) + index(q, e_in)(rest) * dim_in
+            for r in range(dim_out):
+                if act[r]:
+                    per_coord[r].append(base + act[r].bit_length() - 1)
+        for i in range(q):
+            (v1, p1), (v2, p2) = factor_mask(w[i]), factor_mask(w[i + 1])
+            if v1 or v2 or p1 != p2:
+                continue
+            block = w[i][1] - hc.m if w[i][0] == 1 else w[i][1]
+            u = w[:i] + ((w[i][0] + w[i + 1][0], block),) + w[i + 2 :]
+            base = offset(q, e) + index(q, e)(u) * dim_out
+            for r in range(dim_out):
+                per_coord[r].append(base + r)
+        rows.extend(per_coord)
+    return rows
+
+
+def _reference_graded_cohomology(bar, k, top):
+    """Graded pieces from one elimination per floor: the column-restricted
+    k-th coboundary for the cocycles of degree >= d, and the rows of output
+    degree < d of the (k-1)-th for the coboundaries they leave out."""
+    rows = {}
+
+    def packed(q, e_lo, e_hi, floor):
+        for e in range(e_hi, e_lo - 1, -1):
+            if (q, e) not in rows:
+                rows[(q, e)] = _reference_bar_rows(bar, q, e)
+            for entries in rows[(q, e)]:
+                acc = 0
+                for c in entries:
+                    if c >= floor:
+                        acc ^= 1 << c
+                yield acc
+
+    def offset(d):
+        return sum(bar.tensor_count(k, e) * bar.module_dim(e + bar.s) for e in range(d))
+
+    def rank_cols_from(d):
+        return echelon_rank(packed(k, d, top, offset(d)))
+
+    def rank_rows_below(d):
+        return echelon_rank(packed(k - 1, 0, min(d - 1, top), 0)) if k >= 1 and d > 0 else 0
+
+    dim_k = offset(top + 1)
+    r_in = rank_rows_below(top + 1)
+    filtered = [
+        dim_k - offset(d) - rank_cols_from(d) - (r_in - rank_rows_below(d)) for d in range(top + 2)
+    ]
+    return [filtered[d] - filtered[d + 1] for d in range(top + 1)]
+
+
+# the four exceptional fixtures of the acceptance suite, a coarser subring,
+# and a weight-0 cell, the only one here whose pieces change when the
+# last-factor term is dropped; every truncation through degree 6
+@pytest.mark.parametrize(
+    "m, n, blocks, k, s",
+    [
+        (0, 3, None, 2, -1),
+        (0, 3, None, 3, -2),
+        (1, 3, None, 2, -1),
+        (1, 3, None, 3, -2),
+        (0, 3, ((0, 1), (2,)), 2, -1),
+        (1, 2, None, 1, 0),
+    ],
+)
+def test_bar_filtration_matches_the_per_floor_reference(m, n, blocks, k, s):
+    ring = BooleanRing(n)
+    subring = None
+    if blocks is not None:
+        subring = Subring(ring, [sum(ring.atom(a) for a in b) for b in blocks])
+    hc = HochschildComplex(ConnectedSumAlgebra(m, ring), subring)
+    bar = _BarComplex(hc, s)
+    pieces = [bar.graded_cohomology(k, top) for top in range(7)]
+    assert pieces == [_reference_graded_cohomology(bar, k, top) for top in range(7)]
+    assert sum(pieces[-1]) == hc.hh(k, s).cohomology
+
+
+def test_capped_bar_filtration_matches_the_per_floor_reference():
+    hc = HochschildComplex(ConnectedSumAlgebra(0, BooleanRing(3)))
+    rep = hc.bar_oracle(5, -4, 8, cap=8_000)
+    assert rep.skipped_from == 7
+    expected = _reference_graded_cohomology(_BarComplex(hc, -4), 5, 6)
+    assert [f.increment for f in rep.factors] == expected == [0, 0, 0, 0, 0, 24, 0]
+
+
+def test_bar_complex_is_freed_with_its_hochschild_complex():
+    hc = HochschildComplex(ConnectedSumAlgebra(1, BooleanRing(3)))
+    assert hc.bar_oracle(2, -1, 5).total == 18
+    ref = weakref.ref(hc._bar_cache[-1])
+    del hc
+    gc.collect()
+    assert ref() is None
 
 
 def test_admissible_enumeration_respects_global_cap(monkeypatch):
