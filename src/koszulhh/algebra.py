@@ -79,10 +79,6 @@ class BooleanRing:
         return f"BooleanRing({self.atom_count})"
 
 
-def boolean_ring(n: int) -> BooleanRing:
-    return BooleanRing(n)
-
-
 def ideal_membership(ring: BooleanRing, z: int, x: int, y: int) -> bool:
     """Whether z lies in the ideal generated by x and y.
 
@@ -203,10 +199,6 @@ class Subring:
     def __repr__(self) -> str:
         masks = ",".join(bin(b)[2:] for b in self.blocks)
         return f"Subring({self.ambient!r}, [{masks}])"
-
-
-def adjoin(a: Subring, x: int) -> Subring:
-    return a.adjoin(x)
 
 
 @dataclass(frozen=True)
@@ -330,10 +322,6 @@ class ConnectedSumAlgebra:
 
     def __repr__(self) -> str:
         return f"ConnectedSumAlgebra(v_dim={self.v_dim}, atoms={self.atom_count})"
-
-
-def connected_sum_algebra(v_dim: int, ring: BooleanRing | None = None) -> ConnectedSumAlgebra:
-    return ConnectedSumAlgebra(v_dim, ring)
 
 
 def graded_multiply(alg: ConnectedSumAlgebra, u: GradedElement, w: GradedElement) -> GradedElement:

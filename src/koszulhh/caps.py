@@ -6,6 +6,8 @@ import os
 
 DEFAULT_CAP = 2_000_000
 DEFAULT_BAR_CAP = 250_000
+# defining systems enumerated by massey_product_set; no environment override
+MASSEY_CAP = 1 << 20
 
 
 def _env_cap(name: str, default: int) -> int:

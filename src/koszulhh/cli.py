@@ -18,20 +18,19 @@ import sys
 import time
 
 from . import __version__ as VERSION
-from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring, boolean_ring
+from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring
 from .caps import default_cap
 from .coboundary import extend_cocycle, extend_cocycle_split, restrict_cochain, solve_coboundary
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
+from .gf2 import BitVector
 from .hochschild import Cochain, HochschildComplex
 from .koszul import verify_koszul
 from .massey import (
     CohomologyClass,
     dg_algebra_from_dict,
-    format_bits,
     from_connected_sum,
     massey_product,
     massey_product_set,
-    parse_bits,
     strong_massey_check,
     trivial_defining_system,
 )
@@ -84,7 +83,7 @@ def _element_names(mask: int, ring: BooleanRing) -> str:
 def _build_algebra(args) -> tuple[ConnectedSumAlgebra, Subring | None]:
     if args.v_dim < 0 or args.atoms < 0:
         raise UsageError("generator counts must be nonnegative")
-    ring = boolean_ring(args.atoms) if args.atoms else None
+    ring = BooleanRing(args.atoms) if args.atoms else None
     alg = ConnectedSumAlgebra(args.v_dim, ring)
     subring = None
     if getattr(args, "blocks", None):
@@ -102,7 +101,7 @@ def _algebra_info(alg: ConnectedSumAlgebra, subring: Subring | None) -> dict:
 
 
 def _cochain_string(hc: HochschildComplex, f: Cochain) -> str:
-    return format_bits(hc.cochain_to_bits(f), hc.cochain_dim(f.k, f.s))
+    return BitVector(hc.cochain_dim(f.k, f.s), hc.cochain_to_bits(f)).to01()
 
 
 def _cochain_from_string(hc: HochschildComplex, k: int, s: int, text: str) -> Cochain:
@@ -111,7 +110,7 @@ def _cochain_from_string(hc: HochschildComplex, k: int, s: int, text: str) -> Co
     if len(text) != dim:
         raise UsageError(f"cochain string must have {dim} bits, got {len(text)}")
     try:
-        bits = parse_bits(text)
+        bits = BitVector.from01(text).bits
     except ValueError as e:
         raise UsageError(str(e)) from None
     return hc.cochain_from_bits(k, s, bits)
@@ -336,7 +335,7 @@ def _parse_classes(text: str, dg) -> list[CohomologyClass]:
             raise UsageError(
                 f"class in degree {d} needs {dg.dim(d)} bits, got {len(btxt)}"
             )
-        out.append(CohomologyClass(dg, GradedElement(d, parse_bits(btxt))))
+        out.append(CohomologyClass(dg, GradedElement(d, BitVector.from01(btxt).bits)))
     return out
 
 
@@ -364,14 +363,14 @@ def cmd_massey(args) -> tuple[dict, int]:
         raise UsageError("provide --classes or --strong-check")
     classes = _parse_classes(args.classes, dg)
     if args.enumerate:
-        reps = massey_product_set(dg, classes, cap=args.cap or (1 << 20))
+        reps = massey_product_set(dg, classes, cap=args.cap)
         degree = sum(c.degree for c in classes) - len(classes) + 2
         summary = f"{len(reps)} distinct product classes; zero attained: {0 in reps}"
         report = {
             "manifest": _manifest(args, summary),
             "algebra": info,
             "productDegree": degree,
-            "classSet": [format_bits(r, dg.dim(degree)) for r in sorted(reps)],
+            "classSet": [BitVector(dg.dim(degree), r).to01() for r in sorted(reps)],
             "containsZero": 0 in reps,
         }
         return report, 0
@@ -383,7 +382,7 @@ def cmd_massey(args) -> tuple[dict, int]:
         "manifest": _manifest(args, summary),
         "algebra": info,
         "productDegree": product.degree,
-        "product": format_bits(product.element.bits, dg.dim(product.degree)),
+        "product": BitVector(dg.dim(product.degree), product.element.bits).to01(),
         "isZeroClass": zero,
     }
     return report, 0 if zero else 1
@@ -467,12 +466,12 @@ def _tuple_length(text: str) -> int:
     return value
 
 
-def _add_cap_opt(p: argparse.ArgumentParser) -> None:
+def _add_cap_opt(p: argparse.ArgumentParser, default: str = "KOSZULHH_CAP") -> None:
     p.add_argument(
         "--cap",
         type=_positive_int,
         default=None,
-        help="size guard override (default from KOSZULHH_CAP)",
+        help=f"size guard override (default from {default})",
     )
 
 
@@ -512,12 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--max-internal-degree", type=int, default=8)
-    p.add_argument(
-        "--cap",
-        type=_positive_int,
-        default=None,
-        help="bar matrix node guard (default from KOSZULHH_BAR_CAP)",
-    )
+    _add_cap_opt(p, "KOSZULHH_BAR_CAP")
     _add_output_opts(p)
     p.set_defaults(func=cmd_bar_oracle)
 
@@ -554,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--max-n", type=_tuple_length, default=5, help="longest sampled tuple, at least 2")
     p.add_argument("--seed", type=int, default=0)
-    _add_cap_opt(p)
+    _add_cap_opt(p, "caps.MASSEY_CAP, 2^20 defining systems")
     _add_output_opts(p)
     p.set_defaults(func=cmd_massey)
 

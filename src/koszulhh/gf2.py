@@ -2,9 +2,16 @@
 
 Vectors and matrix rows are Python integers used as bitsets: bit ``j`` is
 column ``j``, so a row exclusive-or is one machine-assisted big-int operation.
-Elimination follows a fixed pivot rule (leftmost nonzero column, topmost
-remaining row), which makes ranks, kernels and solutions reproducible across
-runs.
+
+Every dense elimination runs through ``EchelonBasis``, whose pivot side is
+fixed per instance.  Highest-bit pivots (the default) serve ``echelon_rank``,
+the bar-complex oracle, whose filtration needs the rank of every column
+suffix, and the Koszul span oracle.  Lowest-bit pivots serve ``BitMatrix``
+and the Massey code: they fix the kernel bases (ordered by free column), the
+solutions with free variables zero and the canonical representatives of
+Massey product classes.  Matrices with at most two entries per row, the
+Koszul cochain differentials and strand matrices, get their rank and kernel
+from one union-find instead (``pair_components``, ``sparse_rank``).
 
 >>> m = BitMatrix.from01(["110", "011", "101"])
 >>> m.rank()
@@ -17,7 +24,7 @@ runs.
 
 from __future__ import annotations
 
-from collections import deque
+from array import array
 from typing import Iterable, Iterator
 
 
@@ -98,7 +105,7 @@ class BitMatrix:
     right null space.
     """
 
-    __slots__ = ("rows", "cols", "_rref")
+    __slots__ = ("rows", "cols", "_rref", "_combos")
 
     def __init__(self, rows: Iterable[int], cols: int):
         self.rows = tuple(rows)
@@ -107,6 +114,7 @@ class BitMatrix:
             if r < 0 or r >> cols:
                 raise ValueError("row does not fit the stated column count")
         self._rref = None
+        self._combos = None
 
     @classmethod
     def from01(cls, rows: Iterable[str]) -> "BitMatrix":
@@ -202,25 +210,12 @@ class BitMatrix:
 
     def _reduced(self) -> dict[int, int]:
         """Reduced row echelon basis: pivot column -> fully reduced row."""
-        if self._rref is not None:
-            return self._rref
-        basis: dict[int, int] = {}
-        for r in self.rows:
-            while r:
-                p = _lsb_index(r)
-                b = basis.get(p)
-                if b is None:
-                    basis[p] = r
-                    break
-                r ^= b
-        # back-substitute so every pivot column appears in exactly one row
-        for p in sorted(basis):
-            row = basis[p]
-            for p2 in basis:
-                if p2 != p and (basis[p2] >> p) & 1:
-                    basis[p2] ^= row
-        self._rref = basis
-        return basis
+        if self._rref is None:
+            basis = EchelonBasis(lowest=True)
+            basis.extend(self.rows)
+            basis.back_substitute()
+            self._rref = basis.rows
+        return self._rref
 
     def rank(self) -> int:
         return len(self._reduced())
@@ -240,33 +235,37 @@ class BitMatrix:
             out.append(BitVector(self.cols, v))
         return out
 
+    def _row_combinations(self) -> list[tuple[int, int]]:
+        """(pivot, rows summed) for the reduced echelon form of ``[m | I]``.
+
+        Row i carries tag bit ``cols + i``, above every column, so the column
+        pivots are those of ``m``.  A pivot below ``cols`` says which rows of
+        ``m`` add up to its reduced row; a pivot among the tags marks a set of
+        rows that adds up to zero.
+        """
+        if self._combos is None:
+            cols = self.cols
+            basis = EchelonBasis(lowest=True)
+            basis.extend(r | 1 << (cols + i) for i, r in enumerate(self.rows))
+            basis.back_substitute()
+            self._combos = [(p, r >> cols) for p, r in basis.rows.items()]
+        return self._combos
+
     def solve(self, b: int | BitVector) -> BitVector | None:
-        """One solution of ``m @ x = b`` (free variables zero), or None."""
+        """One solution of ``m @ x = b`` (free variables zero), or None.
+
+        The elimination is done once per matrix; each call only reads the
+        parity of ``b`` on the recorded row combinations.
+        """
         if isinstance(b, BitVector):
             if b.length != self.nrows:
                 raise ValueError("right-hand side length mismatch")
             b = b.bits
-        aug = self.cols
-        basis: dict[int, int] = {}
-        for i, r in enumerate(self.rows):
-            r |= ((b >> i) & 1) << aug
-            while r:
-                p = _lsb_index(r)
-                have = basis.get(p)
-                if have is None:
-                    basis[p] = r
-                    break
-                r ^= have
-        if aug in basis:
-            return None
-        for p in sorted(basis):
-            row = basis[p]
-            for p2 in basis:
-                if p2 != p and (basis[p2] >> p) & 1:
-                    basis[p2] ^= row
         x = 0
-        for p, row in basis.items():
-            if (row >> aug) & 1:
+        for p, combo in self._row_combinations():
+            if (combo & b).bit_count() & 1:
+                if p >= self.cols:
+                    return None
                 x |= 1 << p
         return BitVector(self.cols, x)
 
@@ -274,59 +273,83 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.cols})"
 
 
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: BitMatrix) -> list[BitVector]:
-    return m.kernel_basis()
-
-
-def solve(m: BitMatrix, b: int | BitVector) -> BitVector | None:
-    return m.solve(b)
-
-
 class EchelonBasis:
-    """Incremental row basis, forward elimination pivoting on the highest set bit.
+    """Incremental GF(2) row basis: the one elimination loop of the package.
 
-    Rows are column bitmasks; every stored row has its own leading column.
-    Bulk integer xors make this the fastest route for wide matrices with
-    banded supports, and the high pivot keeps stored rows no wider than their
-    leading column.  A sum of stored rows leads with the largest leading
-    column among them, so the rows leading below a column f span exactly the
-    vectors of the row space supported below f.  Hence the pivot set depends
-    only on the row space, not on insertion order, and the number of pivots
-    >= f is the rank of the rows restricted to the columns >= f.
+    Rows are column bitmasks.  Every stored row has its own pivot: its
+    highest set bit by default, its lowest with ``lowest=True``.  A sum of
+    stored rows has the most extreme of their pivots as its pivot, so the
+    pivot set is the set of pivots of the whole row space and does not
+    depend on insertion order.  With highest-bit pivots, the rows pivoting
+    below a column f span the row vectors supported below f, so the number
+    of pivots >= f is the rank of the rows restricted to the columns >= f;
+    bulk integer xors then keep stored rows no wider than their pivot, which
+    suits wide banded matrices fed as a stream.
 
     >>> b = EchelonBasis()
     >>> b.extend([0b011, 0b110, 0b101])
     >>> b.rank, b.pivots()
     (2, [1, 2])
+    >>> bin(b.reduce(0b111))
+    '0b1'
     """
 
-    __slots__ = ("_rows",)
+    __slots__ = ("rows", "lowest")
 
-    def __init__(self):
-        self._rows: dict[int, int] = {}
+    def __init__(self, lowest: bool = False):
+        self.rows: dict[int, int] = {}  # pivot column -> stored row
+        self.lowest = lowest
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return len(self.rows)
 
     def extend(self, int_rows: Iterable[int]) -> None:
-        basis = self._rows
+        """Insert rows in order; one that reduces to zero is dropped."""
+        basis = self.rows
+        lowest = self.lowest
         for r in int_rows:
             while r:
-                p = r.bit_length() - 1
+                p = (r & -r if lowest else r).bit_length() - 1
                 b = basis.get(p)
                 if b is None:
                     basis[p] = r
                     break
                 r ^= b
 
+    def reduce(self, r: int) -> int:
+        """The remainder of ``r`` modulo the row space.
+
+        It is the one vector of the coset ``r + span`` that is zero at every
+        pivot, so it is the same for every element of that coset.
+        """
+        basis = self.rows
+        lowest = self.lowest
+        rest = 0
+        while r:
+            bit = r & -r if lowest else 1 << (r.bit_length() - 1)
+            b = basis.get(bit.bit_length() - 1)
+            if b is None:
+                rest |= bit
+                r ^= bit
+            else:
+                r ^= b
+        return rest
+
+    def back_substitute(self) -> None:
+        """Clear every pivot column from the other rows, in place.
+
+        The rows are then the reduced row echelon form, which depends only
+        on the row space and the pivot side.
+        """
+        basis = self.rows
+        for p, r in basis.items():
+            bit = 1 << p
+            basis[p] = bit | self.reduce(r ^ bit)
+
     def pivots(self) -> list[int]:
-        """Leading columns of the stored rows, ascending."""
-        return sorted(self._rows)
+        """Pivot columns of the stored rows, ascending."""
+        return sorted(self.rows)
 
 
 def echelon_rank(int_rows: Iterable[int]) -> int:
@@ -340,93 +363,68 @@ def echelon_rank(int_rows: Iterable[int]) -> int:
     return basis.rank
 
 
-def sparse_rank(row_supports: Iterable[Iterable[int]], num_cols: int | None = None) -> int:
-    """Rank of a sparse GF(2) matrix given as per-row column supports.
+class UnionFind:
+    """Disjoint sets over 0..n-1; the smaller index is the root of a merge."""
 
-    Gaussian elimination with pivot selection tuned for the very sparse,
-    block-structured matrices produced by cochain differentials: singleton
-    rows and columns are eliminated first (zero fill), then pivots are chosen
-    by a Markowitz-style least-fill heuristic.
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, a: int) -> int:
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def pair_components(first, second, n_cols: int) -> tuple[UnionFind, list[int]]:
+    """Rank and kernel of a GF(2) matrix with at most two entries per row.
+
+    Row i has its entries at columns ``first[i]`` and ``second[i]``, with -1
+    for an absent entry.  A two-entry row joins its columns, a one-entry row
+    forces its column to zero, and each component no row forces carries one
+    kernel vector: the sum of its columns.  Returns the union-find over the
+    columns and the roots of the free components, ascending; the rank is
+    ``n_cols`` minus their number.
     """
-    rows: list[set[int]] = [set(s) for s in row_supports]
+    dsu = UnionFind(n_cols)
+    forced = bytearray(n_cols)
+    for a, b in zip(first, second):
+        if a < 0:
+            if b >= 0:
+                forced[b] = 1
+        elif b < 0:
+            forced[a] = 1
+        else:
+            dsu.union(a, b)
+    roots_forced = bytearray(n_cols)
+    for c in range(n_cols):
+        if forced[c]:
+            roots_forced[dsu.find(c)] = 1
+    free_roots = [c for c in range(n_cols) if dsu.find(c) == c and not roots_forced[c]]
+    return dsu, free_roots
+
+
+def sparse_rank(row_supports: Iterable[Iterable[int]], num_cols: int | None = None) -> int:
+    """Rank of a GF(2) matrix given as row supports of at most two columns each.
+
+    Runs ``pair_components``; a row with three or more entries raises
+    ``ValueError``.
+    """
+    first, second = array("q"), array("q")
+    for s in row_supports:
+        s = tuple(s)
+        if len(s) > 2:
+            raise ValueError(f"sparse_rank takes rows of at most two entries, got {len(s)}")
+        first.append(s[0] if s else -1)
+        second.append(s[1] if len(s) == 2 else -1)
     if num_cols is None:
-        num_cols = max((max(s) for s in rows if s), default=-1) + 1
-    cols: list[set[int]] = [set() for _ in range(num_cols)]
-    for ri, s in enumerate(rows):
-        for c in s:
-            cols[c].add(ri)
-
-    rank_count = 0
-    pending: deque[tuple[str, int]] = deque()
-    for ri, s in enumerate(rows):
-        if len(s) == 1:
-            pending.append(("r", ri))
-    for ci, s in enumerate(cols):
-        if len(s) == 1:
-            pending.append(("c", ci))
-
-    def kill_row(ri: int) -> None:
-        for c in rows[ri]:
-            cc = cols[c]
-            cc.discard(ri)
-            if len(cc) == 1:
-                pending.append(("c", c))
-        rows[ri] = set()
-
-    def kill_col(ci: int) -> None:
-        for r in cols[ci]:
-            rr = rows[r]
-            rr.discard(ci)
-            if len(rr) == 1:
-                pending.append(("r", r))
-        cols[ci] = set()
-
-    def eliminate(ri: int, ci: int) -> None:
-        """Use entry (ri, ci) as a pivot, then delete its row and column."""
-        nonlocal rank_count
-        rank_count += 1
-        prow = rows[ri]
-        for r2 in list(cols[ci]):
-            if r2 == ri:
-                continue
-            row2 = rows[r2]
-            for c in prow:
-                if c in row2:
-                    row2.discard(c)
-                    cols[c].discard(r2)
-                    if len(cols[c]) == 1:
-                        pending.append(("c", c))
-                else:
-                    row2.add(c)
-                    cols[c].add(r2)
-            if len(row2) == 1:
-                pending.append(("r", r2))
-        kill_row(ri)
-        kill_col(ci)
-
-    alive_rows = {ri for ri, s in enumerate(rows) if s}
-    while True:
-        while pending:
-            kind, idx = pending.popleft()
-            if kind == "r":
-                s = rows[idx]
-                if len(s) != 1:
-                    continue
-                eliminate(idx, next(iter(s)))
-                alive_rows.discard(idx)
-            else:
-                s = cols[idx]
-                if len(s) != 1:
-                    continue
-                ri = next(iter(s))
-                eliminate(ri, idx)
-                alive_rows.discard(ri)
-        alive_rows = {ri for ri in alive_rows if rows[ri]}
-        if not alive_rows:
-            break
-        # Markowitz-style pick: cheapest row, then its cheapest column.
-        best_row = min(alive_rows, key=lambda ri: (len(rows[ri]), ri))
-        best_col = min(rows[best_row], key=lambda ci: (len(cols[ci]), ci))
-        eliminate(best_row, best_col)
-        alive_rows.discard(best_row)
-    return rank_count
+        num_cols = max(max(first, default=-1), max(second, default=-1)) + 1
+    return num_cols - len(pair_components(first, second, num_cols)[1])

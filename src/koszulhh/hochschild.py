@@ -35,7 +35,7 @@ from typing import Iterator
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring
 from .caps import bar_cap, default_cap
 from .errors import CapExceeded
-from .gf2 import BitMatrix, EchelonBasis, echelon_rank
+from .gf2 import BitMatrix, EchelonBasis, echelon_rank, pair_components
 from .koszul import admissible_tuples, count_admissible
 
 
@@ -107,27 +107,6 @@ class BarReport:
     @property
     def total(self) -> int:
         return self.factors[-1].cumulative if self.factors else 0
-
-
-class _DSU:
-    """Union-find over column indices, for rank/kernel of two-per-row matrices."""
-
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 @dataclass(frozen=True)
@@ -315,39 +294,15 @@ class HochschildComplex:
         if hit is not None:
             return hit
         diff = self.differential(k, s)
-        _, free_roots = self._components(diff)
+        _, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
         r = diff.n_cols - len(free_roots)
         self._rank_cache[key] = r
         return r
 
-    @staticmethod
-    def _components(diff: SparseDifferential) -> tuple[_DSU, list[int]]:
-        """Union-find over the columns: a two-entry row joins its columns, a
-        one-entry row forces its column to zero.  Returns the union-find and
-        the roots of the components no row forces, one kernel vector each.
-        """
-        n = diff.n_cols
-        dsu = _DSU(n)
-        forced = bytearray(n)
-        for a, b in zip(diff.first, diff.second):
-            if a < 0:
-                if b >= 0:
-                    forced[b] = 1
-            elif b < 0:
-                forced[a] = 1
-            else:
-                dsu.union(a, b)
-        roots_forced = bytearray(n)
-        for c in range(n):
-            if forced[c]:
-                roots_forced[dsu.find(c)] = 1
-        free_roots = [c for c in range(n) if dsu.find(c) == c and not roots_forced[c]]
-        return dsu, free_roots
-
     def cocycle_space(self, k: int, s: int) -> list[int]:
         """Kernel basis of the coboundary as flat column bitmasks."""
         diff = self.differential(k, s)
-        dsu, free_roots = self._components(diff)
+        dsu, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
         members: dict[int, list[int]] = {r: [] for r in free_roots}
         for c in range(diff.n_cols):
             group = members.get(dsu.find(c))

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .algebra import ConnectedSumAlgebra
 from .caps import default_cap
 from .errors import CapExceeded
-from .gf2 import BitMatrix, BitVector, kernel_basis, sparse_rank
+from .gf2 import BitMatrix, BitVector, EchelonBasis, sparse_rank
 
 
 def count_admissible(m: int, n: int, k: int) -> int:
@@ -154,7 +154,7 @@ def koszul_space_generic(
                         row |= 1 << ((base + pair) * right + s)
                         c ^= low
                     stacked.append(row)
-    basis = kernel_basis(BitMatrix(stacked, total))
+    basis = BitMatrix(stacked, total).kernel_basis()
     return len(basis), basis
 
 
@@ -175,26 +175,10 @@ def admissible_in_generic_span(alg: ConnectedSumAlgebra, k: int, cap: int | None
     if k == 0 or not seqs:
         return True
     # one echelon basis of the span; membership is then reduction to zero
-    echelon: dict[int, int] = {}
-    for v in basis:
-        r = v.bits
-        while r:
-            p = r.bit_length() - 1
-            have = echelon.get(p)
-            if have is None:
-                echelon[p] = r
-                break
-            r ^= have
+    span = EchelonBasis()
+    span.extend(v.bits for v in basis)
     g_count = alg.gen_count
-    for t in seqs:
-        r = 1 << sequence_tensor_index(t, g_count)
-        while r:
-            p = r.bit_length() - 1
-            have = echelon.get(p)
-            if have is None:
-                return False
-            r ^= have
-    return True
+    return all(span.reduce(1 << sequence_tensor_index(t, g_count)) == 0 for t in seqs)
 
 
 @dataclass(frozen=True)
@@ -295,7 +279,7 @@ def verify_koszul(
                         for b in range(alg.graded_dim(q)):
                             cols.append(image_of(i, p, q, a, t_pos, b))
             col_supports[i] = cols
-            ranks[i] = sparse_rank([set(c) for c in cols], spaces[i - 1][2])
+            ranks[i] = sparse_rank(cols, spaces[i - 1][2])
             checked += 1
 
         # boundary-of-boundary: push each basis column through two steps

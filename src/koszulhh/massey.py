@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .algebra import ConnectedSumAlgebra, GradedElement, graded_multiply
+from .caps import MASSEY_CAP
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, BitVector, EchelonBasis
 
 
 def _columns_matrix(columns: list[int], nrows: int) -> BitMatrix:
@@ -480,35 +481,16 @@ def trivial_defining_system(
     return ds
 
 
-def _reduce_modulo(bits: int, echelon: dict[int, int]) -> int:
-    for p in sorted(echelon):
-        if (bits >> p) & 1:
-            bits ^= echelon[p]
-    return bits
-
-
-def _echelon(vectors: Iterator[int]) -> dict[int, int]:
-    basis: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            p = (v & -v).bit_length() - 1
-            have = basis.get(p)
-            if have is None:
-                basis[p] = v
-                break
-            v ^= have
-    return basis
-
-
 def massey_product_set(
-    alg: DgAlgebra, classes: Sequence[CohomologyClass], cap: int = 1 << 20
+    alg: DgAlgebra, classes: Sequence[CohomologyClass], cap: int | None = None
 ) -> set[int]:
     """Canonical representatives of every attainable product class.
 
     Enumerates all defining systems: adjacent entries range over each class's
     full set of representatives, interior entries over all solutions of their
     defining relation.  The total number of systems is estimated up front and
-    guarded by ``cap``.
+    guarded by ``cap`` (``MASSEY_CAP`` when None).  A class is represented by
+    its remainder modulo the coboundaries, reduced on lowest-bit pivots.
     """
     n = len(classes)
     if n < 2:
@@ -524,37 +506,35 @@ def massey_product_set(
         else:
             freedom += len(alg.cocycle_basis(d))
     total = 1 << freedom
+    cap = MASSEY_CAP if cap is None else cap
     if total > cap:
         raise CapExceeded(
             f"enumerating 2**{freedom} defining systems exceeds the cap",
             needed=total,
             cap=cap,
         )
-    out_degree = proto.expected_degree(1, n + 1) + 1
-    out_boundaries = _echelon(
-        iter(alg.diffs[out_degree - 1].transpose().rows)
-        if 1 <= out_degree <= alg.top
-        else iter(())
-    )
-    results: set[int] = set()
 
-    def boundary_span(d: int) -> list[int]:
-        if not 1 <= d <= alg.top:
-            return []
-        return list(_echelon(iter(alg.diffs[d - 1].transpose().rows)).values())
+    def boundaries(d: int) -> EchelonBasis:
+        basis = EchelonBasis(lowest=True)
+        if 1 <= d <= alg.top:
+            basis.extend(alg.diffs[d - 1].transpose().rows)
+        return basis
+
+    out_boundaries = boundaries(proto.expected_degree(1, n + 1) + 1)
+    results: set[int] = set()
 
     def fill(pos: int, entries: dict[tuple[int, int], GradedElement]) -> None:
         if pos == len(slots):
             out = 0
             for t in range(2, n + 1):
                 out ^= alg.product(entries[(1, t)], entries[(t, n + 1)]).bits
-            results.add(_reduce_modulo(out, out_boundaries))
+            results.add(out_boundaries.reduce(out))
             return
         i, j = slots[pos]
         d = proto.expected_degree(i, j)
         if j - i == 1:
             base = classes[i - 1].element.bits
-            span = boundary_span(d)
+            span = list(boundaries(d).rows.values())
         else:
             rhs = 0
             for t in range(i + 1, j):
@@ -763,14 +743,14 @@ def dg_algebra_to_dict(alg: DgAlgebra) -> dict:
         mat = alg.diffs[d]
         diffs.append([mat.row(i).to01() for i in range(mat.nrows)])
     mult = {
-        f"{d1},{i1},{d2},{i2}": format_bits(bits, alg.dim(d1 + d2))
+        f"{d1},{i1},{d2},{i2}": BitVector(alg.dim(d1 + d2), bits).to01()
         for (d1, i1, d2, i2), bits in sorted(alg.mult.items())
     }
     return {
         "dims": list(alg.dims),
         "differentials": diffs,
         "multiplication": mult,
-        "unit": format_bits(alg.unit.bits, alg.dim(0)),
+        "unit": BitVector(alg.dim(0), alg.unit.bits).to01(),
     }
 
 
@@ -788,20 +768,6 @@ def dg_algebra_from_dict(data: dict) -> DgAlgebra:
     mult = {}
     for key, val in data.get("multiplication", {}).items():
         d1, i1, d2, i2 = (int(x) for x in key.split(","))
-        mult[(d1, i1, d2, i2)] = parse_bits(val)
-    unit = parse_bits(data.get("unit", "1"))
+        mult[(d1, i1, d2, i2)] = BitVector.from01(val).bits
+    unit = BitVector.from01(data.get("unit", "1")).bits
     return DgAlgebra(dims, diffs, mult, unit_bits=unit)
-
-
-def format_bits(bits: int, length: int) -> str:
-    return "".join("1" if (bits >> i) & 1 else "0" for i in range(length))
-
-
-def parse_bits(text: str) -> int:
-    bits = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            bits |= 1 << i
-        elif ch != "0":
-            raise ValueError(f"invalid bit character {ch!r}")
-    return bits

@@ -11,9 +11,6 @@ from koszulhh.algebra import (
     ConnectedSumAlgebra,
     GradedElement,
     Subring,
-    adjoin,
-    boolean_ring,
-    connected_sum_algebra,
     graded_multiply,
     ideal_decompose,
     ideal_membership,
@@ -30,7 +27,6 @@ def test_boolean_ring_masks_and_operations():
     assert r.is_atom(0b100) and not r.is_atom(0b101)
     assert r.atoms_below(0b101) == [0b001, 0b100]
     assert len(list(r.elements())) == 8
-    assert boolean_ring(2) == BooleanRing(2)
 
 
 def test_boolean_ring_check_rejects_foreign_masks():
@@ -78,7 +74,7 @@ def test_subring_adjoin_refines_and_is_idempotent():
     s = Subring.trivial(r).adjoin(0b011)
     assert s.blocks == (0b011, 0b100)
     assert s.adjoin(0b011) == s
-    assert adjoin(s, 0b001).blocks == (0b001, 0b010, 0b100)
+    assert s.adjoin(0b001).blocks == (0b001, 0b010, 0b100)
     assert s.contains(0b011) and not s.contains(0b001)
 
 
@@ -113,7 +109,7 @@ def test_connected_sum_graded_dimensions():
     assert [alg.graded_dim(j) for j in range(6)] == [1, 5, 3, 3, 3, 3]
     dual = ConnectedSumAlgebra(3)
     assert [dual.graded_dim(j) for j in range(4)] == [1, 3, 0, 0]
-    assert connected_sum_algebra(1, BooleanRing(1)).gen_count == 2
+    assert ConnectedSumAlgebra(1, BooleanRing(1)).gen_count == 2
 
 
 def test_generator_labels_and_layout():

@@ -10,7 +10,8 @@ from koszulhh import cli
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex
-from koszulhh.massey import dg_algebra_to_dict, format_bits, from_connected_sum
+from koszulhh.gf2 import BitVector
+from koszulhh.massey import dg_algebra_to_dict, from_connected_sum
 from koszulhh.massey import extend_with_acyclic_pairs
 
 
@@ -192,7 +193,7 @@ def test_solve_coboundary_explicit_cochain(capsys):
     vals = [0] * len(index)
     vals[index[(0, 1, 0)]] = 0b001
     f = Cochain(3, -1, tuple(vals))
-    text = format_bits(hc.cochain_to_bits(f), hc.cochain_dim(3, -1))
+    text = BitVector(hc.cochain_dim(3, -1), hc.cochain_to_bits(f)).to01()
     code, rep = run_json(
         capsys, "solve-coboundary", "--atoms", "3", "--k", "3", "--s", "-1",
         "--cochain", text,
@@ -201,7 +202,7 @@ def test_solve_coboundary_explicit_cochain(capsys):
     g_vals = [0] * len(hc.sequence_index(2))
     g_vals[hc.sequence_index(2)[(1, 0)]] = 0b001
     g = Cochain(2, -1, tuple(g_vals))
-    assert rep["primitive"] == format_bits(hc.cochain_to_bits(g), hc.cochain_dim(2, -1))
+    assert rep["primitive"] == BitVector(hc.cochain_dim(2, -1), hc.cochain_to_bits(g)).to01()
 
 
 def test_solve_coboundary_usage_errors(capsys):
@@ -278,7 +279,7 @@ def test_massey_dg_file_and_cap(capsys, tmp_path):
     ext, _ = extend_with_acyclic_pairs(base, [2, 3])
     path = tmp_path / "dg.json"
     path.write_text(json.dumps(dg_algebra_to_dict(ext)))
-    bits = format_bits(ext.cocycle_basis(3)[0], ext.dim(3))
+    bits = BitVector(ext.dim(3), ext.cocycle_basis(3)[0]).to01()
     code, rep = run_json(
         capsys, "massey", "--dg-file", str(path),
         "--classes", f"3:{bits},3:{bits}", "--enumerate",
@@ -372,3 +373,16 @@ def test_version_and_missing_subcommand(capsys):
     assert code == 0 and "koszulhh 0.1.0" in out
     code, out, err = run(capsys)
     assert code == 2
+
+
+def test_invalid_bit_characters_exit_2_in_one_line(capsys, tmp_path):
+    dg = tmp_path / "dg.json"
+    dg.write_text(json.dumps({"dims": [1, 1], "differentials": [["0"]], "unit": "x"}))
+    for argv in (
+        ("massey", "--atoms", "3", "--classes", "1:1x0,1:010"),
+        ("solve-coboundary", "--atoms", "3", "--k", "1", "--s", "-1", "--cochain", "10x"),
+        ("massey", "--dg-file", str(dg), "--classes", "1:1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "invalid bit character 'x'" in err and err.count("\n") == 1

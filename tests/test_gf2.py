@@ -5,17 +5,81 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from koszulhh.gf2 import (
-    BitMatrix,
-    BitVector,
-    EchelonBasis,
-    echelon_rank,
-    kernel_basis,
-    rank,
-    solve,
-    sparse_rank,
-)
+from koszulhh.gf2 import BitMatrix, BitVector, EchelonBasis, echelon_rank, pair_components, sparse_rank
+
+
+def reference_solve(m: BitMatrix, b: int) -> BitVector | None:
+    """The earlier BitMatrix.solve: eliminate [m | b], then back-substitute."""
+    aug = m.cols
+    basis: dict[int, int] = {}
+    for i, r in enumerate(m.rows):
+        r |= ((b >> i) & 1) << aug
+        while r:
+            p = (r & -r).bit_length() - 1
+            have = basis.get(p)
+            if have is None:
+                basis[p] = r
+                break
+            r ^= have
+    if aug in basis:
+        return None
+    for p in sorted(basis):
+        row = basis[p]
+        for p2 in basis:
+            if p2 != p and (basis[p2] >> p) & 1:
+                basis[p2] ^= row
+    x = 0
+    for p, row in basis.items():
+        if (row >> aug) & 1:
+            x |= 1 << p
+    return BitVector(m.cols, x)
+
+
+def reference_echelon(vectors) -> dict[int, int]:
+    """The earlier Massey echelon form: lowest-bit pivots, not back-substituted."""
+    basis: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            p = (v & -v).bit_length() - 1
+            have = basis.get(p)
+            if have is None:
+                basis[p] = v
+                break
+            v ^= have
+    return basis
+
+
+def reference_reduce_modulo(bits: int, echelon: dict[int, int]) -> int:
+    """The earlier Massey class representative: clear the pivots in ascending order."""
+    for p in sorted(echelon):
+        if (bits >> p) & 1:
+            bits ^= echelon[p]
+    return bits
+
+
+@st.composite
+def matrices(draw, max_rows=16, max_cols=24):
+    cols = draw(st.integers(0, max_cols))
+    rows = draw(st.lists(st.integers(0, (1 << cols) - 1), max_size=max_rows))
+    # repeat sums of drawn rows, so that rank deficits are common
+    for _ in range(draw(st.integers(0, 3))):
+        if rows:
+            rows.append(draw(st.sampled_from(rows)) ^ draw(st.sampled_from(rows)))
+    return BitMatrix(rows, cols)
+
+
+def span_element(rows, mask: int) -> int:
+    out = 0
+    for i, r in enumerate(rows):
+        if (mask >> i) & 1:
+            out ^= r
+    return out
+
+
+PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def test_bitvector_from01_leftmost_is_entry_zero():
@@ -33,6 +97,13 @@ def test_bitvector_xor_weight_support():
     assert c.weight() == 2
     assert c.support() == [0, 2]
     assert bool(BitVector(3, 0)) is False
+
+
+def test_bitvector_from01_rejects_invalid_characters():
+    assert BitVector.from01("1010").bits == 0b0101
+    assert BitVector.from01(BitVector(6, 0b1101).to01()).bits == 0b1101
+    with pytest.raises(ValueError, match="invalid bit character 'x'"):
+        BitVector.from01("10x1")
 
 
 def test_bitvector_rejects_overflow_bits():
@@ -57,7 +128,6 @@ def test_rank_hand_examples():
     # third row is the sum of the first two
     m = BitMatrix.from01(["110", "011", "101"])
     assert m.rank() == 2
-    assert rank(m) == 2
 
 
 def test_mul_vec_matches_row_dot_products():
@@ -89,7 +159,6 @@ def test_kernel_basis_spans_the_kernel():
     assert len(ker) == 3 - m.rank()
     for v in ker:
         assert m.mul_vec(v.bits) == 0
-    assert kernel_basis(m) == ker
 
 
 def test_kernel_of_full_rank_matrix_is_trivial():
@@ -103,7 +172,7 @@ def test_solve_hand_cases():
     # inconsistent system: equal rows with distinct right-hand sides
     m2 = BitMatrix.from01(["110", "110"])
     assert m2.solve(BitVector.from01("10")) is None
-    assert solve(m2, BitVector.from01("11")) is not None
+    assert m2.solve(BitVector.from01("11")) is not None
 
 
 def test_solve_random_consistency():
@@ -121,15 +190,6 @@ def test_from_vectors_places_vectors_as_rows():
     m = BitMatrix.from_vectors(vecs)
     assert m.nrows == 2 and m.cols == 2
     assert m.row(1).to01() == "11"
-
-
-def test_sparse_rank_matches_dense_rank():
-    rng = random.Random(1)
-    for _ in range(40):
-        nr, nc = rng.randrange(1, 12), rng.randrange(1, 12)
-        rows = [rng.getrandbits(nc) for _ in range(nr)]
-        supports = [{i for i in range(nc) if (r >> i) & 1} for r in rows]
-        assert sparse_rank(supports, nc) == BitMatrix(rows, nc).rank()
 
 
 def test_echelon_rank_matches_dense_rank():
@@ -164,3 +224,101 @@ def test_echelon_pivots_give_every_column_suffix_rank():
         for floor in range(nc + 1):
             restricted = BitMatrix([r >> floor for r in rows], nc - floor)
             assert sum(p >= floor for p in pivots) == restricted.rank()
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_solve_matches_the_augmented_reference(m, data):
+    arbitrary = data.draw(st.integers(0, (1 << m.nrows) - 1))
+    reachable = m.mul_vec(data.draw(st.integers(0, (1 << m.cols) - 1)))
+    for b in (arbitrary, reachable):
+        x = m.solve(b)
+        assert x == reference_solve(m, b)
+        if x is not None:
+            assert m.mul_vec(x) == b
+
+
+@PROPERTY
+@given(matrices())
+def test_kernel_vectors_are_annihilated_and_count_the_nullity(m):
+    ker = m.kernel_basis()
+    assert all(m.mul_vec(v) == 0 for v in ker)
+    assert len(ker) == m.cols - m.rank()
+    assert BitMatrix.from_vectors(ker, m.cols).rank() == len(ker)
+    assert m.rank() == echelon_rank(m.rows)
+
+
+@PROPERTY
+@given(matrices(), st.booleans(), st.randoms(use_true_random=False))
+def test_pivot_set_does_not_depend_on_row_order(m, lowest, rng):
+    rows = list(m.rows)
+    basis = EchelonBasis(lowest)
+    basis.extend(rows)
+    rng.shuffle(rows)
+    other = EchelonBasis(lowest)
+    other.extend(rows)
+    assert other.pivots() == basis.pivots()
+    assert basis.rank == m.rank()
+
+
+@PROPERTY
+@given(matrices(), st.booleans(), st.data())
+def test_reduce_is_the_coset_remainder(m, lowest, data):
+    basis = EchelonBasis(lowest)
+    basis.extend(m.rows)
+    v = data.draw(st.integers(0, (1 << m.cols) - 1))
+    rest = basis.reduce(v)
+    if lowest:
+        assert rest == reference_reduce_modulo(v, reference_echelon(m.rows))
+    assert all(not (rest >> p) & 1 for p in basis.pivots())
+    assert BitMatrix(m.rows + (v ^ rest,), m.cols).rank() == m.rank()
+    mask = data.draw(st.integers(0, (1 << m.nrows) - 1))
+    assert basis.reduce(v ^ span_element(m.rows, mask)) == rest
+
+
+@PROPERTY
+@given(matrices(), st.booleans())
+def test_back_substitution_leaves_each_pivot_in_one_row(m, lowest):
+    basis = EchelonBasis(lowest)
+    basis.extend(m.rows)
+    pivots = basis.pivots()
+    basis.back_substitute()
+    assert basis.pivots() == pivots
+    for p, r in basis.rows.items():
+        assert [q for q in pivots if (r >> q) & 1] == [p]
+        assert basis.reduce(r) == 0
+
+
+@st.composite
+def two_entry_rows(draw):
+    """(cols, [(first, second)]) with -1 for an absent entry, as SparseDifferential stores them."""
+    cols = draw(st.integers(1, 24))
+    entry = st.integers(-1, cols - 1)
+    pairs = draw(st.lists(st.tuples(entry, entry), max_size=16))
+    return cols, [(a, b) if a != b else (a, -1) for a, b in pairs]
+
+
+@PROPERTY
+@given(two_entry_rows())
+def test_sparse_rank_matches_dense_rank(case):
+    cols, pairs = case
+    supports = [{c for c in pair if c >= 0} for pair in pairs]
+    rank = BitMatrix([sum(1 << c for c in s) for s in supports], cols).rank()
+    assert sparse_rank(supports, cols) == rank
+    assert sparse_rank(supports) == rank
+
+
+@PROPERTY
+@given(two_entry_rows())
+def test_pair_components_give_the_dense_rank_and_kernel(case):
+    cols, pairs = case
+    m = BitMatrix([sum(1 << c for c in pair if c >= 0) for pair in pairs], cols)
+    dsu, free_roots = pair_components([a for a, _ in pairs], [b for _, b in pairs], cols)
+    assert cols - len(free_roots) == m.rank()
+    for root in free_roots:
+        assert m.mul_vec(sum(1 << c for c in range(cols) if dsu.find(c) == root)) == 0
+
+
+def test_sparse_rank_rejects_a_three_entry_row():
+    with pytest.raises(ValueError, match="at most two entries"):
+        sparse_rank([{0, 1}, {0, 1, 2}], 3)

@@ -16,14 +16,12 @@ from koszulhh.massey import (
     dg_algebra_from_dict,
     dg_algebra_to_dict,
     extend_with_acyclic_pairs,
-    format_bits,
     from_connected_sum,
     lift_coboundary,
     lift_cocycle,
     lift_defining_system,
     massey_product,
     massey_product_set,
-    parse_bits,
     strong_massey_check,
     trivial_defining_system,
 )
@@ -303,9 +301,13 @@ def test_dict_round_trip():
     assert back.unit.bits == ext.unit.bits
 
 
-def test_format_parse_bits():
-    assert format_bits(0b101, 4) == "1010"
-    assert parse_bits("1010") == 0b0101
-    assert parse_bits(format_bits(0b1101, 6)) == 0b1101
-    with pytest.raises(ValueError):
-        parse_bits("10x1")
+def test_massey_class_representatives_clear_the_lowest_boundary_pivots():
+    # d(a) = u + w and b * b = u: the class of u is represented by w, the
+    # remainder modulo u + w that is zero at the lowest bit of u + w
+    mult = {(0, 0, 0, 0): 1, (1, 1, 1, 1): 0b01}
+    for d in (1, 2):
+        for i in range(2):
+            mult[(0, 0, d, i)] = mult[(d, i, 0, 0)] = 1 << i
+    alg = DgAlgebra((1, 2, 2), (BitMatrix.zeros(2, 1), BitMatrix([0b01, 0b01], 2)), mult)
+    b = CohomologyClass(alg, alg.element(1, 0b10))
+    assert massey_product_set(alg, [b, b]) == {0b10}
