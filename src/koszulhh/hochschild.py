@@ -2,13 +2,17 @@
 
 Cochains of bidegree (k, s) are maps from admissible length-k sequences to
 the degree-(k+s) piece of the module algebra; the differential multiplies
-the first and last sequence entries into the value.  Every row of the
+the first and last sequence entries into the value.  It reads each
+sequence's ends and the positions of its two truncations from the arrays of
+koszul.sequence_links, so no sequence tuple is built.  Every row of the
 differential touches at most two coordinates (each end contributes at most
 one basis element), so it is stored as two column indices per row, and
 ranks and kernels reduce to union-find on the coordinate graph.  Memory is
 linear in the cochain dimension; the (v_dim, atoms) = (2, 4) grid through
-k = 7 runs in about 200 MB.  Coboundaries of single cochains are computed
-sequence by sequence without building the matrix.
+k = 7 runs in about 105 MB.  Coboundaries of single cochains are computed
+sequence by sequence without building the matrix.  Tuples and their
+positions (sequences, sequence_index) remain for the orbit and transport
+code in coboundary.
 
 The coefficient algebra may be built on a subring of the module's Boolean
 ring: sequences then run over the subring's blocks, which act on the module
@@ -32,11 +36,10 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .algebra import ConnectedSumAlgebra, GradedElement, Subring
+from .algebra import ConnectedSumAlgebra, Subring
 from .caps import bar_cap, default_cap
-from .errors import CapExceeded
 from .gf2 import BitMatrix, EchelonBasis, echelon_rank, pair_components
-from .koszul import admissible_tuples, count_admissible
+from .koszul import SequenceLinks, admissible_tuples, capped_count, count_admissible, sequence_links
 
 
 @dataclass(frozen=True)
@@ -221,19 +224,14 @@ class HochschildComplex:
         """Boolean projection of a generator: 0 for v, the block mask for atoms."""
         return 0 if g < self.m else self.blocks[g - self.m]
 
-    def generator_element(self, g: int) -> GradedElement:
-        if g < self.m:
-            return self.alg.element(1, 1 << g)
-        return self.alg.from_parts(1, 0, self.blocks[g - self.m])
-
-    def generator_label(self, g: int) -> str:
-        return f"v{g + 1}" if g < self.m else f"x{g - self.m + 1}"
-
     def sequences(self, k: int) -> tuple[tuple[int, ...], ...]:
-        needed = count_admissible(self.m, self.nj, k)
-        if needed > self.cap:
-            raise CapExceeded("admissible sequence enumeration", needed, self.cap)
+        capped_count(self.m, self.nj, k, self.cap)
         return admissible_tuples(self.m, self.nj, k)
+
+    def links(self, k: int) -> SequenceLinks:
+        """sequence_links of the length-k sequences, under the cap."""
+        capped_count(self.m, self.nj, k, self.cap)
+        return sequence_links(self.m, self.nj, k)
 
     def module_dim(self, j: int) -> int:
         return self.alg.graded_dim(j)
@@ -271,20 +269,18 @@ class HochschildComplex:
         if dim_in == 0 or dim_out == 0:
             empty = array("q", [-1]) * (count_admissible(self.m, self.nj, k + 1) * dim_out)
             return SparseDifferential(empty, array("q", empty), n_cols)
-        offset = {t: i * dim_in for i, t in enumerate(self.sequences(k))}
+        links = self.links(k + 1)
         cols = self._action_columns(k + s)
         absent = [-1] * dim_out
         first = array("q")
         second = array("q")
-        for u in self.sequences(k + 1):
-            off_r = offset[u[1:]]
-            off_l = offset[u[:-1]]
-            if off_r == off_l:
+        for g0, g1, r, l in zip(*links):
+            if r == l:
                 first.extend(absent)
                 second.extend(absent)
                 continue
-            first.extend([off_r + c if c >= 0 else -1 for c in cols[u[0]]])
-            second.extend([off_l + c if c >= 0 else -1 for c in cols[u[-1]]])
+            first.extend([r * dim_in + c if c >= 0 else -1 for c in cols[g0]])
+            second.extend([l * dim_in + c if c >= 0 else -1 for c in cols[g1]])
         return SparseDifferential(first, second, n_cols)
 
     def rank(self, k: int, s: int) -> int:
@@ -357,24 +353,27 @@ class HochschildComplex:
                 tables[g][v] = image
             return image
 
-        index = self.sequence_index(f.k)
         values = f.values
-        out = [
-            act(u[0], values[index[u[1:]]]) ^ act(u[-1], values[index[u[:-1]]])
-            for u in self.sequences(f.k + 1)
-        ]
+        links = self.links(f.k + 1)
+        out = [act(g0, values[r]) ^ act(g1, values[l]) for g0, g1, r, l in zip(*links)]
         return Cochain(f.k + 1, f.s, tuple(out))
 
     def is_cocycle(self, f: Cochain) -> bool:
         return self.coboundary_of(f).is_zero()
 
     def random_cocycle(self, k: int, s: int, rng) -> Cochain:
-        basis = self.cocycle_space(k, s)
-        bits = 0
-        for v in basis:
-            if rng.getrandbits(1):
-                bits ^= v
-        return self.cochain_from_bits(k, s, bits)
+        """Sum of a random subset of the cocycle_space basis, one bit per free component."""
+        diff = self.differential(k, s)
+        dsu, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
+        chosen = bytearray(diff.n_cols)
+        for r in free_roots:
+            chosen[r] = rng.getrandbits(1)
+        dim = self.module_dim(k + s)
+        values = [0] * count_admissible(self.m, self.nj, k)
+        for c in range(diff.n_cols):
+            if chosen[dsu.find(c)]:
+                values[c // dim] |= 1 << (c % dim)
+        return Cochain(k, s, tuple(values))
 
     def sequence_index(self, k: int) -> dict:
         hit = self._index_cache.get(k)
@@ -382,9 +381,6 @@ class HochschildComplex:
             hit = {t: i for i, t in enumerate(self.sequences(k))}
             self._index_cache[k] = hit
         return hit
-
-    def value(self, f: Cochain, seq: tuple[int, ...]) -> GradedElement:
-        return self.alg.element(f.k + f.s, f.values[self.sequence_index(f.k)[seq]])
 
     # -- bar-complex oracle --------------------------------------------------
 

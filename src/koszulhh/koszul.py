@@ -7,7 +7,9 @@ space is spanned by products of basis generators that vanish, so the
 intersection has a combinatorial basis: sequences of generators with no two
 equal adjacent atoms ("admissible sequences").  This module provides
 
-* the admissible-sequence enumeration and its counting recurrence,
+* the admissible-sequence enumeration and its counting recurrence; the
+  enumeration is kept as arrays of each sequence's ends and truncation
+  positions, the one place that knows the lex order of the sequences,
 * a generic linear-algebra construction of the same space, kept as an
   independent test oracle,
 * a degreewise Koszulity verifier for the two-sided complex alg (x) K (x) alg.
@@ -15,8 +17,11 @@ equal adjacent atoms ("admissible sequences").  This module provides
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from .algebra import ConnectedSumAlgebra
 from .caps import default_cap
@@ -46,59 +51,87 @@ def is_admissible(seq: tuple[int, ...], m: int) -> bool:
     return all(not (a == b and a >= m) for a, b in zip(seq, seq[1:]))
 
 
-@lru_cache(maxsize=128)
-def admissible_tuples(m: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All admissible sequences of length k, lexicographically ordered.
+class SequenceLinks(NamedTuple):
+    """Per admissible sequence u, in lex order: u[0], u[-1], pos(u[1:]), pos(u[:-1]).
 
-    Entries are generator indices: 0..m-1 free, m..m+n-1 atoms.  Built by
-    extending prefixes in increasing generator order, which yields lex order
-    directly.
+    Positions index the sequences one entry shorter.  The one sequence of
+    length 0 has no ends and no truncations; its four entries are -1.
     """
-    if k == 0:
-        return ((),)
-    gens = range(m + n)
-    out = [(g,) for g in gens]
-    for _ in range(k - 1):
-        nxt = []
-        for seq in out:
-            last = seq[-1]
-            for g in gens:
-                if g == last and g >= m:
-                    continue
-                nxt.append(seq + (g,))
-        out = nxt
-    return tuple(out)
+
+    first: array
+    last: array
+    suffix: array
+    prefix: array
 
 
-@dataclass(frozen=True)
-class KoszulBasis:
-    """Ordered admissible-sequence basis of the degree-k Koszul piece."""
+@lru_cache(maxsize=128)
+def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
+    """The admissible length-k sequences over m free and n atom generators.
 
-    algebra: ConnectedSumAlgebra
-    k: int
-    sequences: tuple[tuple[int, ...], ...]
-    index: dict = field(compare=False, repr=False)
+    Entries are generator indices: 0..m-1 free, m..m+n-1 atoms.  Level k
+    extends level k-1: the children of a parent p are p + (g,) for every
+    generator g in increasing order except the atom p ends in, which gives
+    lex order and u[:-1] = p.  For k > 2, u[1:] is the child of p[1:] with
+    the same g; p[1:] ends where p ends, so it skips the same generator and
+    that child has the same rank among its siblings.
 
-    def __len__(self) -> int:
-        return len(self.sequences)
-
-    def __iter__(self):
-        return iter(self.sequences)
-
-    def position(self, seq: tuple[int, ...]) -> int:
-        return self.index[seq]
-
-
-def admissible_sequences(alg: ConnectedSumAlgebra, k: int, cap: int | None = None) -> KoszulBasis:
+    >>> links = sequence_links(0, 2, 3)  # (0, 1, 0), (1, 0, 1)
+    >>> [list(a) for a in links]
+    [[0, 1], [0, 1], [1, 0], [0, 1]]
+    """
     if k < 0:
         raise ValueError("negative length")
-    m, n = alg.v_dim, alg.atom_count
+    # four bytes an entry unless a position could overflow them
+    code = "i" if count_admissible(m, n, k) < 1 << 31 else "q"
+    if k == 0:
+        return SequenceLinks(*(array(code, [-1]) for _ in range(4)))
+    gens = range(m + n)
+    if k == 1:
+        zeros = array(code, [0]) * len(gens)
+        return SequenceLinks(array(code, gens), array(code, gens), zeros, array(code, zeros))
+    up = sequence_links(m, n, k - 1)
+    after = [[h for h in gens if h != g or g < m] for g in gens]
+    if k > 2:
+        # position of the first child of each length-(k-2) sequence
+        grand = sequence_links(m, n, k - 2)
+        start = list(accumulate((len(after[g]) for g in grand.last), initial=0))
+    first, last, suffix, prefix = (array(code) for _ in range(4))
+    for p, (g0, g1, r) in enumerate(zip(up.first, up.last, up.suffix)):
+        kids = after[g1]
+        first.extend(repeat(g0, len(kids)))
+        last.extend(kids)
+        suffix.extend(kids if k == 2 else range(start[r], start[r] + len(kids)))
+        prefix.extend(repeat(p, len(kids)))
+    return SequenceLinks(first, last, suffix, prefix)
+
+
+def capped_count(m: int, n: int, k: int, cap: int | None = None) -> int:
+    """count_admissible, raising CapExceeded above cap (default_cap() when None)."""
     cap = default_cap() if cap is None else cap
     needed = count_admissible(m, n, k)
     if needed > cap:
         raise CapExceeded("admissible sequence enumeration", needed, cap)
-    seqs = admissible_tuples(m, n, k)
-    return KoszulBasis(alg, k, seqs, {t: i for i, t in enumerate(seqs)})
+    return needed
+
+
+@lru_cache(maxsize=128)
+def admissible_tuples(m: int, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The sequences of sequence_links(m, n, k) as tuples, in the same order."""
+    seqs: tuple[tuple[int, ...], ...] = ((),)
+    for j in range(1, k + 1):
+        links = sequence_links(m, n, j)
+        seqs = tuple(seqs[p] + (g,) for p, g in zip(links.prefix, links.last))
+    return seqs
+
+
+def admissible_sequences(
+    alg: ConnectedSumAlgebra, k: int, cap: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """Ordered admissible-sequence basis of the degree-k Koszul piece."""
+    if k < 0:
+        raise ValueError("negative length")
+    capped_count(alg.v_dim, alg.atom_count, k, cap)
+    return admissible_tuples(alg.v_dim, alg.atom_count, k)
 
 
 def _multiplication_matrix(alg: ConnectedSumAlgebra) -> BitMatrix:
@@ -193,16 +226,6 @@ class KoszulReport:
     components_checked: int
 
 
-def _strand_layout(alg: ConnectedSumAlgebra, d: int, i: int, seqs) -> list[tuple[int, int]]:
-    """(p, q) outer-degree splits with nonzero alg_p (x) K_i (x) alg_q at degree d."""
-    out = []
-    for p in range(d - i + 1):
-        q = d - i - p
-        if alg.graded_dim(p) and alg.graded_dim(q) and len(seqs):
-            out.append((p, q))
-    return out
-
-
 def verify_koszul(
     alg: ConnectedSumAlgebra, max_internal_degree: int, cap: int | None = None
 ) -> KoszulReport:
@@ -217,10 +240,11 @@ def verify_koszul(
     if max_internal_degree < 1:
         raise ValueError("need at least one internal degree")
     m, n = alg.v_dim, alg.atom_count
+    capped_count(m, n, max_internal_degree, cap)
+    links = [sequence_links(m, n, i) for i in range(max_internal_degree + 1)]
+    dim = alg.graded_dim
     failures: list[tuple[int, int, int]] = []
     checked = 0
-    bases = {i: admissible_tuples(m, n, i) for i in range(max_internal_degree + 1)}
-    indexes = {i: {t: j for j, t in enumerate(bases[i])} for i in bases}
 
     def left_mul(p: int, a_idx: int, g: int) -> int | None:
         # basis-element product alg_p x gen -> alg_{p+1}; None when zero
@@ -240,86 +264,59 @@ def verify_koszul(
         return 1 << a_idx
 
     for d in range(1, max_internal_degree + 1):
-        spaces = {}
+        # position i is the sum of the nonzero blocks alg_p (x) K_i (x) alg_q,
+        # q = d - i - p, laid out by ascending p; flat index within a block
+        # is (a * |K_i| + t) * dim alg_q + b
+        offsets: list[dict[int, int]] = []
+        sizes = []
         for i in range(d + 1):
-            layout = _strand_layout(alg, d, i, bases[i])
-            offsets = {}
-            pos = 0
-            for p, q in layout:
-                offsets[(p, q)] = pos
-                pos += alg.graded_dim(p) * len(bases[i]) * alg.graded_dim(q)
-            spaces[i] = (layout, offsets, pos)
+            count = len(links[i].first)
+            block_at, pos = {}, 0
+            for p in range(d - i + 1):
+                if dim(p) and dim(d - i - p) and count:
+                    block_at[p] = pos
+                    pos += dim(p) * count * dim(d - i - p)
+            offsets.append(block_at)
+            sizes.append(pos)
 
-        def flat(i, p, q, a, t_pos, b):
-            _, offsets, _ = spaces[i]
-            return offsets[(p, q)] + (a * len(bases[i]) + t_pos) * alg.graded_dim(q) + b
-
-        def image_of(i, p, q, a, t_pos, b):
+        def image_of(i, p, a, t, b):
             # differential of one basis element, as a set of flat output indices
-            t = bases[i][t_pos]
+            seqs, below, width, q = links[i], offsets[i - 1], len(links[i - 1].first), d - i - p
             out = set()
-            a2 = left_mul(p, a, t[0])
-            if a2 is not None and alg.graded_dim(p + 1):
-                rest = t[1:]
-                out ^= {flat(i - 1, p + 1, q, a2, indexes[i - 1][rest], b)}
-            b2 = left_mul(q, b, t[-1])
-            if b2 is not None and alg.graded_dim(q + 1):
-                rest = t[:-1]
-                out ^= {flat(i - 1, p, q + 1, a, indexes[i - 1][rest], b2)}
+            a2 = left_mul(p, a, seqs.first[t])
+            if a2 is not None and dim(p + 1):
+                out ^= {below[p + 1] + (a2 * width + seqs.suffix[t]) * dim(q) + b}
+            b2 = left_mul(q, b, seqs.last[t])
+            if b2 is not None and dim(q + 1):
+                out ^= {below[p] + (a * width + seqs.prefix[t]) * dim(q + 1) + b2}
             return out
 
         ranks = {}
         col_supports = {}
         for i in range(1, d + 1):
-            layout, offsets, dim_src = spaces[i]
-            cols = []
-            for p, q in layout:
-                for a in range(alg.graded_dim(p)):
-                    for t_pos in range(len(bases[i])):
-                        for b in range(alg.graded_dim(q)):
-                            cols.append(image_of(i, p, q, a, t_pos, b))
-            col_supports[i] = cols
-            ranks[i] = sparse_rank(cols, spaces[i - 1][2])
+            col_supports[i] = [
+                image_of(i, p, a, t, b)
+                for p in offsets[i]
+                for a in range(dim(p))
+                for t in range(len(links[i].first))
+                for b in range(dim(d - i - p))
+            ]
+            ranks[i] = sparse_rank(col_supports[i], sizes[i - 1])
             checked += 1
 
         # boundary-of-boundary: push each basis column through two steps
         for i in range(2, d + 1):
-            layout, offsets, dim_src = spaces[i]
-            col = 0
-            for p, q in layout:
-                for a in range(alg.graded_dim(p)):
-                    for t_pos in range(len(bases[i])):
-                        for b in range(alg.graded_dim(q)):
-                            acc: set = set()
-                            for flat_mid in col_supports[i][col]:
-                                acc ^= _unflatten_image(
-                                    alg, spaces, bases, indexes, image_of, i - 1, flat_mid
-                                )
-                            if acc:
-                                failures.append((d, -i, len(acc)))
-                            col += 1
+            for col in col_supports[i]:
+                acc: set = set()
+                for flat_mid in col:
+                    acc ^= col_supports[i - 1][flat_mid]
+                if acc:
+                    failures.append((d, -i, len(acc)))
 
         for i in range(d + 1):
-            dim_i = spaces[i][2]
-            h = dim_i - ranks.get(i, 0) - ranks.get(i + 1, 0)
-            expected = alg.graded_dim(d) if i == 0 else 0
+            h = sizes[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
+            expected = dim(d) if i == 0 else 0
             if h != expected:
                 failures.append((d, i, h))
 
     return KoszulReport(m, n, max_internal_degree, not failures, tuple(failures), checked)
-
-
-def _unflatten_image(alg, spaces, bases, indexes, image_of, i, flat_idx):
-    """Apply the strand differential to a flat basis index of position i."""
-    layout, offsets, _ = spaces[i]
-    for p, q in layout:
-        block = alg.graded_dim(p) * len(bases[i]) * alg.graded_dim(q)
-        start = offsets[(p, q)]
-        if start <= flat_idx < start + block:
-            rel = flat_idx - start
-            b = rel % alg.graded_dim(q)
-            rel //= alg.graded_dim(q)
-            t_pos = rel % len(bases[i])
-            a = rel // len(bases[i])
-            return image_of(i, p, q, a, t_pos, b)
-    raise IndexError(flat_idx)

@@ -498,13 +498,20 @@ def massey_product_set(
     degrees = tuple(c.degree for c in classes)
     proto = DefiningSystem(alg, degrees)
     slots = proto.slots()
-    freedom = 0
+
+    def boundaries(d: int) -> EchelonBasis:
+        basis = EchelonBasis(lowest=True)
+        if 1 <= d <= alg.top:
+            basis.extend(alg.diffs[d - 1].transpose().rows)
+        return basis
+
+    # what each slot may add to its base: boundaries next to a class,
+    # cocycles inside; built once, in a fixed order
+    spans = []
     for i, j in slots:
         d = proto.expected_degree(i, j)
-        if j - i == 1:
-            freedom += alg.rank_diff(d - 1)
-        else:
-            freedom += len(alg.cocycle_basis(d))
+        spans.append(list(boundaries(d).rows.values()) if j - i == 1 else alg.cocycle_basis(d))
+    freedom = sum(len(span) for span in spans)
     total = 1 << freedom
     cap = MASSEY_CAP if cap is None else cap
     if total > cap:
@@ -513,12 +520,6 @@ def massey_product_set(
             needed=total,
             cap=cap,
         )
-
-    def boundaries(d: int) -> EchelonBasis:
-        basis = EchelonBasis(lowest=True)
-        if 1 <= d <= alg.top:
-            basis.extend(alg.diffs[d - 1].transpose().rows)
-        return basis
 
     out_boundaries = boundaries(proto.expected_degree(1, n + 1) + 1)
     results: set[int] = set()
@@ -534,7 +535,6 @@ def massey_product_set(
         d = proto.expected_degree(i, j)
         if j - i == 1:
             base = classes[i - 1].element.bits
-            span = list(boundaries(d).rows.values())
         else:
             rhs = 0
             for t in range(i + 1, j):
@@ -548,7 +548,7 @@ def massey_product_set(
                 if rhs:
                     return
                 base = 0
-            span = alg.cocycle_basis(d)
+        span = spans[pos]
         for mask in range(1 << len(span)):
             bits = base
             m = mask

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from koszulhh import cli
+from koszulhh import cli, koszul
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex
@@ -132,6 +132,21 @@ def test_koszul_verify(capsys):
 
     code, out, err = run(capsys, "koszul-verify", "--atoms", "2", "--max-internal-degree", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("extra", [("7", "--cap", "10"), ("14",), ("20",)])
+def test_koszul_verify_cap_exits_3_before_enumerating(capsys, monkeypatch, extra):
+    # 5,116 sequences at D=7, 21.9M at D=14 (default cap 2M); the top degree
+    # is checked before any level is built
+    def never(*args):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(koszul, "sequence_links", never)
+    code, out, err = run(
+        capsys, "koszul-verify", "--v-dim", "1", "--atoms", "3", "--max-internal-degree", *extra
+    )
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: admissible sequence enumeration\n"
 
 
 def test_bar_oracle(capsys):

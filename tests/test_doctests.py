@@ -1,0 +1,22 @@
+"""Every docstring example in the package runs and holds."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import koszulhh
+
+MODULES = ["koszulhh"] + [f"koszulhh.{m.name}" for m in pkgutil.iter_modules(koszulhh.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_docstring_examples(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+
+
+@pytest.mark.parametrize("name", ["koszulhh.gf2", "koszulhh.koszul"])
+def test_the_examples_are_found(name):
+    assert doctest.testmod(importlib.import_module(name)).attempted > 0

@@ -188,6 +188,25 @@ def test_random_cocycle_is_closed():
         assert hc.is_cocycle(f)
 
 
+@pytest.mark.parametrize("m, n, blocks", REFERENCE_CASES)
+def test_random_cocycle_draws_one_bit_per_cocycle_basis_vector(m, n, blocks):
+    # reference: XOR of the cocycle_space vectors picked by the same draws
+    ring = BooleanRing(n)
+    subring = None
+    if blocks is not None:
+        subring = Subring(ring, [sum(ring.atom(a) for a in b) for b in blocks])
+    hc = HochschildComplex(ConnectedSumAlgebra(m, ring), subring)
+    for k in range(4):
+        for j in range(-1, 4):
+            rng, ref_rng = random.Random(k * 10 + j), random.Random(k * 10 + j)
+            bits = 0
+            for v in hc.cocycle_space(k, j - k):
+                if ref_rng.getrandbits(1):
+                    bits ^= v
+            assert hc.random_cocycle(k, j - k, rng) == hc.cochain_from_bits(k, j - k, bits)
+            assert rng.getstate() == ref_rng.getstate()
+
+
 def test_kadeishvili_report_all_clear():
     for m, n in [(0, 2), (1, 2), (2, 1), (1, 3)]:
         rep = kadeishvili_check(ConnectedSumAlgebra(m, BooleanRing(n)), 5)

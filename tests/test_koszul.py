@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.errors import CapExceeded
@@ -15,6 +17,7 @@ from koszulhh.koszul import (
     count_admissible,
     is_admissible,
     koszul_space_generic,
+    sequence_links,
     sequence_tensor_index,
     verify_koszul,
 )
@@ -47,6 +50,36 @@ def test_admissible_tuples_match_brute_force():
             assert len(got) == count_admissible(m, n, k)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 4), st.integers(0, 6))
+@example(0, 0, 0)
+@example(0, 0, 1)
+@example(0, 0, 2)
+@example(0, 3, 0)
+@example(0, 3, 1)
+@example(0, 3, 2)
+@example(2, 0, 2)
+@example(1, 1, 3)
+@example(0, 1, 3)
+def test_sequence_links_read_the_tuples(m, n, k):
+    seqs = brute_force_admissible(m, n, k)
+    links = sequence_links(m, n, k)
+    assert all(len(a) == len(seqs) for a in links)
+    if k == 0:
+        assert [list(a) for a in links] == [[-1]] * 4
+        return
+    index = {t: i for i, t in enumerate(brute_force_admissible(m, n, k - 1))}
+    assert list(links.first) == [t[0] for t in seqs]
+    assert list(links.last) == [t[-1] for t in seqs]
+    assert list(links.suffix) == [index[t[1:]] for t in seqs]
+    assert list(links.prefix) == [index[t[:-1]] for t in seqs]
+
+
+def test_sequence_links_reject_negative_length():
+    with pytest.raises(ValueError):
+        sequence_links(1, 2, -1)
+
+
 def test_is_admissible_examples():
     # generators 0 is free, 1 and 2 are atoms
     assert is_admissible((0, 0, 0), 1)
@@ -58,7 +91,7 @@ def test_is_admissible_examples():
 def test_admissible_sequences_basis_and_cap():
     alg = ConnectedSumAlgebra(1, BooleanRing(2))
     basis = admissible_sequences(alg, 3)
-    assert len(basis.sequences) == count_admissible(1, 2, 3)
+    assert len(basis) == count_admissible(1, 2, 3)
     with pytest.raises(CapExceeded):
         admissible_sequences(alg, 6, cap=10)
 
