@@ -9,9 +9,11 @@ the bar-complex oracle, whose filtration needs the rank of every column
 suffix, and the Koszul span oracle.  Lowest-bit pivots serve ``BitMatrix``
 and the Massey code: they fix the kernel bases (ordered by free column), the
 solutions with free variables zero and the canonical representatives of
-Massey product classes.  Matrices with at most two entries per row, the
-Koszul cochain differentials and strand matrices, get their rank and kernel
-from one union-find instead (``pair_components``, ``sparse_rank``).
+Massey product classes.  A matrix with at most two entries per row, the
+Koszul cochain differentials and strand matrices, is stored as one pair of
+index arrays ``first``, ``second`` (-1 for an absent entry, ``index_code``
+for the type) and gets its rank and kernel from one union-find instead
+(``pair_components``, ``sparse_rank``).
 
 >>> m = BitMatrix.from01(["110", "011", "101"])
 >>> m.rank()
@@ -24,7 +26,6 @@ from one union-find instead (``pair_components``, ``sparse_rank``).
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterable, Iterator
 
 
@@ -412,19 +413,11 @@ def pair_components(first, second, n_cols: int) -> tuple[UnionFind, list[int]]:
     return dsu, free_roots
 
 
-def sparse_rank(row_supports: Iterable[Iterable[int]], num_cols: int | None = None) -> int:
-    """Rank of a GF(2) matrix given as row supports of at most two columns each.
+def index_code(n: int) -> str:
+    """``array`` type code for indices below n: four bytes unless n reaches 2**31."""
+    return "i" if n < 1 << 31 else "q"
 
-    Runs ``pair_components``; a row with three or more entries raises
-    ``ValueError``.
-    """
-    first, second = array("q"), array("q")
-    for s in row_supports:
-        s = tuple(s)
-        if len(s) > 2:
-            raise ValueError(f"sparse_rank takes rows of at most two entries, got {len(s)}")
-        first.append(s[0] if s else -1)
-        second.append(s[1] if len(s) == 2 else -1)
-    if num_cols is None:
-        num_cols = max(max(first, default=-1), max(second, default=-1)) + 1
-    return num_cols - len(pair_components(first, second, num_cols)[1])
+
+def sparse_rank(first, second, n_cols: int) -> int:
+    """Rank of a GF(2) matrix with at most two entries per row, as ``pair_components`` reads it."""
+    return n_cols - len(pair_components(first, second, n_cols)[1])

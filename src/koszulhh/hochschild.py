@@ -9,10 +9,12 @@ differential touches at most two coordinates (each end contributes at most
 one basis element), so it is stored as two column indices per row, and
 ranks and kernels reduce to union-find on the coordinate graph.  Memory is
 linear in the cochain dimension; the (v_dim, atoms) = (2, 4) grid through
-k = 7 runs in about 105 MB.  Coboundaries of single cochains are computed
-sequence by sequence without building the matrix.  Tuples and their
-positions (sequences, sequence_index) remain for the orbit and transport
-code in coboundary.
+k = 7 runs in about 83 MB.  Coboundaries of single cochains are computed
+sequence by sequence without building the matrix.  The action of a
+generator or bar tensor factor on the module is tabulated from
+algebra.graded_multiply, so this module does not repeat the basis layout or
+the product.  Tuples and their positions (sequences, sequence_index) remain
+for the orbit and transport code in coboundary.
 
 The coefficient algebra may be built on a subring of the module's Boolean
 ring: sequences then run over the subring's blocks, which act on the module
@@ -36,9 +38,9 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .algebra import ConnectedSumAlgebra, Subring
+from .algebra import ConnectedSumAlgebra, GradedElement, Subring, graded_multiply
 from .caps import bar_cap, default_cap
-from .gf2 import BitMatrix, EchelonBasis, echelon_rank, pair_components
+from .gf2 import BitMatrix, EchelonBasis, echelon_rank, index_code, pair_components, sparse_rank
 from .koszul import SequenceLinks, admissible_tuples, capped_count, count_admissible, sequence_links
 
 
@@ -117,8 +119,9 @@ class SparseDifferential:
     """A GF(2) matrix with at most two entries per row, stored as column pairs.
 
     Row i has its entries at columns first[i] and second[i]; -1 marks an
-    absent entry, and the two are never equal.  Storage is 16 bytes per row,
-    so memory is linear in the cochain dimension.
+    absent entry, and the two are never equal.  Storage is 8 bytes per row
+    (index_code gives 4-byte indices), so memory is linear in the cochain
+    dimension.
     """
 
     first: array
@@ -142,28 +145,17 @@ class SparseDifferential:
         return BitMatrix(rows, self.n_cols)
 
 
-def _action_rows(alg: ConnectedSumAlgebra, is_v: bool, payload: int, elt_deg: int, src_deg: int):
-    """Rows of multiplication by a basis element, module piece src -> src+elt.
+def _action_rows(alg: ConnectedSumAlgebra, x: GradedElement, src_deg: int) -> list[int]:
+    """Rows of multiplication by x, module piece src_deg -> src_deg + x.degree.
 
-    payload is the v-generator index or the atom mask.  Row r is the input
-    bitmask producing output coordinate r; each row has at most one bit.
+    Row r is the input bitmask producing output coordinate r, tabulated from
+    graded_multiply on the input basis; for a basis element or a block x each
+    row has at most one bit.
     """
-    out_dim = alg.graded_dim(src_deg + elt_deg)
-    rows = [0] * out_dim
-    if src_deg == 0:
-        if is_v:
-            rows[payload] = 1
-        else:
-            shift = alg.v_dim if src_deg + elt_deg == 1 else 0
-            for a in _bits(payload):
-                rows[shift + a] = 1
-        return rows
-    if is_v:
-        return rows
-    in_shift = alg.v_dim if src_deg == 1 else 0
-    out_shift = alg.v_dim if src_deg + elt_deg == 1 else 0
-    for a in _bits(payload):
-        rows[out_shift + a] = 1 << (in_shift + a)
+    rows = [0] * alg.graded_dim(src_deg + x.degree)
+    for c in range(alg.graded_dim(src_deg)):
+        for r in _bits(graded_multiply(alg, x, alg.element(src_deg, 1 << c)).bits):
+            rows[r] |= 1 << c
     return rows
 
 
@@ -217,12 +209,13 @@ class HochschildComplex:
     def generator_count(self) -> int:
         return self.m + self.nj
 
-    def is_v(self, g: int) -> bool:
-        return g < self.m
-
     def generator_mask(self, g: int) -> int:
         """Boolean projection of a generator: 0 for v, the block mask for atoms."""
         return 0 if g < self.m else self.blocks[g - self.m]
+
+    def generator_element(self, g: int) -> GradedElement:
+        """Generator g as a degree-1 element of the module algebra."""
+        return self.alg.from_parts(1, 1 << g if g < self.m else 0, self.generator_mask(g))
 
     def sequences(self, k: int) -> tuple[tuple[int, ...], ...]:
         capped_count(self.m, self.nj, k, self.cap)
@@ -250,12 +243,10 @@ class HochschildComplex:
         Generators act from module degree j to j+1, one input column per
         output coordinate at most.
         """
-        cols = []
-        for g in range(self.generator_count):
-            payload = g if g < self.m else self.generator_mask(g)
-            rows = _action_rows(self.alg, self.is_v(g), payload, 1, j)
-            cols.append([row.bit_length() - 1 for row in rows])
-        return cols
+        return [
+            [row.bit_length() - 1 for row in _action_rows(self.alg, self.generator_element(g), j)]
+            for g in range(self.generator_count)
+        ]
 
     def differential(self, k: int, s: int) -> SparseDifferential:
         """Matrix of the coboundary from bidegree (k, s) to (k+1, s).
@@ -266,14 +257,14 @@ class HochschildComplex:
         """
         dim_in, dim_out = self.module_dim(k + s), self.module_dim(k + s + 1)
         n_cols = count_admissible(self.m, self.nj, k) * dim_in
+        code = index_code(n_cols)
         if dim_in == 0 or dim_out == 0:
-            empty = array("q", [-1]) * (count_admissible(self.m, self.nj, k + 1) * dim_out)
-            return SparseDifferential(empty, array("q", empty), n_cols)
+            empty = array(code, [-1]) * (count_admissible(self.m, self.nj, k + 1) * dim_out)
+            return SparseDifferential(empty, array(code, empty), n_cols)
         links = self.links(k + 1)
         cols = self._action_columns(k + s)
         absent = [-1] * dim_out
-        first = array("q")
-        second = array("q")
+        first, second = array(code), array(code)
         for g0, g1, r, l in zip(*links):
             if r == l:
                 first.extend(absent)
@@ -290,8 +281,7 @@ class HochschildComplex:
         if hit is not None:
             return hit
         diff = self.differential(k, s)
-        _, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
-        r = diff.n_cols - len(free_roots)
+        r = sparse_rank(diff.first, diff.second, diff.n_cols)
         self._rank_cache[key] = r
         return r
 
@@ -511,23 +501,19 @@ class _BarComplex:
             out = max(out, a + b)
         return out
 
-    def _factor_mask(self, factor: tuple[int, int]):
-        """(is_v, payload) of a tensor factor."""
+    def _factor_element(self, factor: tuple[int, int]) -> GradedElement:
         d1, i = factor
-        if d1 == 1 and i < self.hc.m:
-            return True, i
-        b = i - self.hc.m if d1 == 1 else i
-        return False, self.hc.blocks[b]
+        if d1 == 1:
+            return self.hc.generator_element(i)
+        return self.hc.alg.element(d1, self.hc.blocks[i])
 
     def _product(self, f1: tuple[int, int], f2: tuple[int, int]):
-        v1, p1 = self._factor_mask(f1)
-        v2, p2 = self._factor_mask(f2)
-        if v1 or v2:
+        """The factor merging two adjacent ones, or None when their product is
+        zero: a v kills everything and distinct blocks are orthogonal."""
+        b1, b2 = (i - self.hc.m if d1 == 1 else i for d1, i in (f1, f2))
+        if b1 < 0 or b1 != b2:
             return None
-        if p1 != p2:
-            return None
-        b = f1[1] - self.hc.m if f1[0] == 1 else f1[1]
-        return (f1[0] + f2[0], b)
+        return (f1[0] + f2[0], b1)
 
     def rows_for_degree(self, q: int, e: int) -> Iterator[int]:
         """Nonzero rows of the bar coboundary with output argument degree exactly e.
@@ -548,7 +534,7 @@ class _BarComplex:
             dim_in = self.module_dim(e_in + self.s)
             if not dim_in:
                 continue
-            act = _action_rows(self.hc.alg, *self._factor_mask(f), f[0], e_in + self.s)
+            act = _action_rows(self.hc.alg, self._factor_element(f), e_in + self.s)
             pairs = [(r, row.bit_length() - 1) for r, row in enumerate(act) if row]
             if pairs:
                 acting[f] = (pairs, self.index_map(q, e_in), self.block_offset(q, e_in), dim_in)
@@ -639,12 +625,6 @@ class _BarComplex:
             cocycles = dim_k - floor - (len(pivots) - bisect_left(pivots, floor))
             filtered.append(cocycles - (r_in - below[d]))
         return [filtered[d] - filtered[d + 1] for d in range(top + 1)]
-
-
-def cochain_differential(
-    alg: ConnectedSumAlgebra, k: int, s: int, subring: Subring | None = None
-) -> BitMatrix:
-    return HochschildComplex(alg, subring).differential(k, s).to_bitmatrix()
 
 
 def hh_dim(alg: ConnectedSumAlgebra, k: int, s: int, subring: Subring | None = None) -> int:

@@ -12,7 +12,10 @@ equal adjacent atoms ("admissible sequences").  This module provides
   positions, the one place that knows the lex order of the sequences,
 * a generic linear-algebra construction of the same space, kept as an
   independent test oracle,
-* a degreewise Koszulity verifier for the two-sided complex alg (x) K (x) alg.
+* a degreewise Koszulity verifier for the two-sided complex alg (x) K (x) alg,
+  whose strand differentials are stored as column pairs (each basis element
+  has at most two terms in its image) and ranked by gf2.sparse_rank, with
+  products read from one table of algebra.graded_multiply.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .algebra import ConnectedSumAlgebra
+from .algebra import ConnectedSumAlgebra, graded_multiply
 from .caps import default_cap
 from .errors import CapExceeded
-from .gf2 import BitMatrix, BitVector, EchelonBasis, sparse_rank
+from .gf2 import BitMatrix, BitVector, EchelonBasis, index_code, sparse_rank
 
 
 def count_admissible(m: int, n: int, k: int) -> int:
@@ -81,8 +84,7 @@ def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
     """
     if k < 0:
         raise ValueError("negative length")
-    # four bytes an entry unless a position could overflow them
-    code = "i" if count_admissible(m, n, k) < 1 << 31 else "q"
+    code = index_code(count_admissible(m, n, k))
     if k == 0:
         return SequenceLinks(*(array(code, [-1]) for _ in range(4)))
     gens = range(m + n)
@@ -226,6 +228,66 @@ class KoszulReport:
     components_checked: int
 
 
+def _product_table(alg: ConnectedSumAlgebra, top: int) -> list[list[list[int]]]:
+    """mul[p][g][a]: the basis index of (basis element a of alg_p) * (generator g)
+    in alg_(p+1), or -1 when that product is zero, for p < top."""
+    return [
+        [
+            [
+                graded_multiply(alg, alg.element(p, 1 << a), alg.generator(g)).bits.bit_length() - 1
+                for a in range(alg.graded_dim(p))
+            ]
+            for g in range(alg.gen_count)
+        ]
+        for p in range(top)
+    ]
+
+
+def _strand(alg: ConnectedSumAlgebra, d: int, links: list[SequenceLinks], mul):
+    """Position sizes of the internal-degree-d strand, and its differentials.
+
+    Position i is the sum of the nonzero blocks alg_p (x) K_i (x) alg_q,
+    q = d - i - p, laid out by ascending p; the flat index within a block is
+    (a * |K_i| + t) * dim alg_q + b.  The differentials from i = 1..d to i - 1
+    come lazily as column pairs: per basis element of position i, in flat
+    order, the flat index of (a * u[0]) (x) u[1:] (x) b, then that of
+    a (x) u[:-1] (x) (u[-1] * b), -1 for a zero product.  The two lie in the
+    blocks p + 1 and p, so they never cancel.
+    """
+    dim = alg.graded_dim
+    offsets, sizes = [], []
+    for i in range(d + 1):
+        count = len(links[i].first)
+        block_at, pos = {}, 0
+        for p in range(d - i + 1):
+            if dim(p) and dim(d - i - p) and count:
+                block_at[p] = pos
+                pos += dim(p) * count * dim(d - i - p)
+        offsets.append(block_at)
+        sizes.append(pos)
+
+    def differential(i: int) -> tuple[array, array]:
+        below, width, code = offsets[i - 1], len(links[i - 1].first), index_code(sizes[i - 1])
+        first, second = array(code), array(code)
+        for p in offsets[i]:
+            q = d - i - p
+            dim_q = dim(q)
+            absent = array(code, [-1]) * dim_q
+            for a in range(dim(p)):
+                for g0, g1, r, l in zip(*links[i]):
+                    a2 = mul[p][g0][a]
+                    if a2 < 0:
+                        first.extend(absent)
+                    else:
+                        base = below[p + 1] + (a2 * width + r) * dim_q
+                        first.extend(range(base, base + dim_q))
+                    base = below.get(p, 0) + (a * width + l) * dim(q + 1)
+                    second.extend([base + b2 if b2 >= 0 else -1 for b2 in mul[q][g1]])
+        return first, second
+
+    return sizes, map(differential, range(1, d + 1))
+
+
 def verify_koszul(
     alg: ConnectedSumAlgebra, max_internal_degree: int, cap: int | None = None
 ) -> KoszulReport:
@@ -235,86 +297,43 @@ def verify_koszul(
     (restricted to total degree d) must have zero homology at every position
     i > 0 and homology of dimension dim alg_d at i = 0.  The differential
     multiplies the first Koszul entry into the left factor and the last into
-    the right factor; both images are again admissible.
+    the right factor; both images are again admissible.  Products come from
+    one table of graded_multiply.
     """
     if max_internal_degree < 1:
         raise ValueError("need at least one internal degree")
     m, n = alg.v_dim, alg.atom_count
     capped_count(m, n, max_internal_degree, cap)
     links = [sequence_links(m, n, i) for i in range(max_internal_degree + 1)]
+    mul = _product_table(alg, max_internal_degree)
     dim = alg.graded_dim
     failures: list[tuple[int, int, int]] = []
     checked = 0
 
-    def left_mul(p: int, a_idx: int, g: int) -> int | None:
-        # basis-element product alg_p x gen -> alg_{p+1}; None when zero
-        if p == 0:
-            return g
-        mask_a = a_idx_to_mask(p, a_idx)
-        mask_g = alg.atom_part(alg.generator(g))
-        prod = mask_a & mask_g
-        if prod == 0:
-            return None
-        return prod.bit_length() - 1
-
-    def a_idx_to_mask(p: int, a_idx: int) -> int:
-        # atom mask of a positive-degree basis element
-        if p == 1:
-            return alg.atom_part(alg.element(1, 1 << a_idx))
-        return 1 << a_idx
-
     for d in range(1, max_internal_degree + 1):
-        # position i is the sum of the nonzero blocks alg_p (x) K_i (x) alg_q,
-        # q = d - i - p, laid out by ascending p; flat index within a block
-        # is (a * |K_i| + t) * dim alg_q + b
-        offsets: list[dict[int, int]] = []
-        sizes = []
-        for i in range(d + 1):
-            count = len(links[i].first)
-            block_at, pos = {}, 0
-            for p in range(d - i + 1):
-                if dim(p) and dim(d - i - p) and count:
-                    block_at[p] = pos
-                    pos += dim(p) * count * dim(d - i - p)
-            offsets.append(block_at)
-            sizes.append(pos)
-
-        def image_of(i, p, a, t, b):
-            # differential of one basis element, as a set of flat output indices
-            seqs, below, width, q = links[i], offsets[i - 1], len(links[i - 1].first), d - i - p
-            out = set()
-            a2 = left_mul(p, a, seqs.first[t])
-            if a2 is not None and dim(p + 1):
-                out ^= {below[p + 1] + (a2 * width + seqs.suffix[t]) * dim(q) + b}
-            b2 = left_mul(q, b, seqs.last[t])
-            if b2 is not None and dim(q + 1):
-                out ^= {below[p] + (a * width + seqs.prefix[t]) * dim(q + 1) + b2}
-            return out
-
-        ranks = {}
-        col_supports = {}
-        for i in range(1, d + 1):
-            col_supports[i] = [
-                image_of(i, p, a, t, b)
-                for p in offsets[i]
-                for a in range(dim(p))
-                for t in range(len(links[i].first))
-                for b in range(dim(d - i - p))
-            ]
-            ranks[i] = sparse_rank(col_supports[i], sizes[i - 1])
+        sizes, differentials = _strand(alg, d, links, mul)
+        ranks = [0] * (d + 2)
+        below = None
+        for i, (first, second) in enumerate(differentials, 1):
+            ranks[i] = sparse_rank(first, second, sizes[i - 1])
             checked += 1
-
-        # boundary-of-boundary: push each basis column through two steps
-        for i in range(2, d + 1):
-            for col in col_supports[i]:
-                acc: set = set()
-                for flat_mid in col:
-                    acc ^= col_supports[i - 1][flat_mid]
-                if acc:
-                    failures.append((d, -i, len(acc)))
+            if below is not None:
+                # boundary of boundary: the four entries two steps down must
+                # cancel in pairs; the two entries of one image lie in
+                # different blocks, so no value occurs more than twice
+                low_first, low_second = below
+                for e1, e2 in zip(first, second):
+                    quad = (
+                        *((low_first[e1], low_second[e1]) if e1 >= 0 else ()),
+                        *((low_first[e2], low_second[e2]) if e2 >= 0 else ()),
+                    )
+                    left = sum(1 for c in quad if c >= 0 and quad.count(c) == 1)
+                    if left:
+                        failures.append((d, -i, left))
+            below = first, second
 
         for i in range(d + 1):
-            h = sizes[i] - ranks.get(i, 0) - ranks.get(i + 1, 0)
+            h = sizes[i] - ranks[i] - ranks[i + 1]
             expected = dim(d) if i == 0 else 0
             if h != expected:
                 failures.append((d, i, h))

@@ -134,6 +134,18 @@ def test_koszul_verify(capsys):
     assert code == 2
 
 
+def test_koszul_verify_exits_1_when_the_resolution_fails(capsys, monkeypatch):
+    # u[1:] and u[:-1] swapped: the differential no longer squares to zero
+    links = [koszul.sequence_links(1, 1, k) for k in range(3)]
+    swapped = [t._replace(suffix=t.prefix, prefix=t.suffix) for t in links]
+    monkeypatch.setattr(koszul, "sequence_links", lambda m, n, k: swapped[k])
+    code, rep = run_json(
+        capsys, "koszul-verify", "--v-dim", "1", "--atoms", "1", "--max-internal-degree", "2"
+    )
+    assert code == 1 and not rep["passed"]
+    assert rep["results"] == [{"d": 2, "position": -2, "value": 3}] * 2
+
+
 @pytest.mark.parametrize("extra", [("7", "--cap", "10"), ("14",), ("20",)])
 def test_koszul_verify_cap_exits_3_before_enumerating(capsys, monkeypatch, extra):
     # 5,116 sequences at D=7, 21.9M at D=14 (default cap 2M); the top degree

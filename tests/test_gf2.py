@@ -3,12 +3,21 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from koszulhh.gf2 import BitMatrix, BitVector, EchelonBasis, echelon_rank, pair_components, sparse_rank
+from koszulhh.gf2 import (
+    BitMatrix,
+    BitVector,
+    EchelonBasis,
+    echelon_rank,
+    index_code,
+    pair_components,
+    sparse_rank,
+)
 
 
 def reference_solve(m: BitMatrix, b: int) -> BitVector | None:
@@ -302,10 +311,10 @@ def two_entry_rows(draw):
 @given(two_entry_rows())
 def test_sparse_rank_matches_dense_rank(case):
     cols, pairs = case
-    supports = [{c for c in pair if c >= 0} for pair in pairs]
-    rank = BitMatrix([sum(1 << c for c in s) for s in supports], cols).rank()
-    assert sparse_rank(supports, cols) == rank
-    assert sparse_rank(supports) == rank
+    rank = BitMatrix([sum(1 << c for c in pair if c >= 0) for pair in pairs], cols).rank()
+    code = index_code(cols)
+    first, second = array(code, [a for a, _ in pairs]), array(code, [b for _, b in pairs])
+    assert sparse_rank(first, second, cols) == rank
 
 
 @PROPERTY
@@ -319,6 +328,7 @@ def test_pair_components_give_the_dense_rank_and_kernel(case):
         assert m.mul_vec(sum(1 << c for c in range(cols) if dsu.find(c) == root)) == 0
 
 
-def test_sparse_rank_rejects_a_three_entry_row():
-    with pytest.raises(ValueError, match="at most two entries"):
-        sparse_rank([{0, 1}, {0, 1, 2}], 3)
+def test_index_code_holds_every_index_below_n():
+    for n in (1, (1 << 31) - 1, 1 << 31, 1 << 40):
+        assert array(index_code(n), [-1, n - 1])[-1] == n - 1
+    assert index_code((1 << 31) - 1) == "i" and index_code(1 << 31) == "q"

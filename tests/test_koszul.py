@@ -8,9 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
+from koszulhh import koszul
+from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, GradedElement
 from koszulhh.errors import CapExceeded
 from koszulhh.koszul import (
+    _product_table,
+    _strand,
     admissible_in_generic_span,
     admissible_sequences,
     admissible_tuples,
@@ -139,3 +142,102 @@ def test_verify_koszul_dual_algebra():
 def test_verify_koszul_rejects_negative_degree():
     with pytest.raises(ValueError):
         verify_koszul(ConnectedSumAlgebra(1, BooleanRing(1)), -1)
+
+
+def reference_strand_images(alg, d):
+    """Per position i >= 1 of the internal-degree-d strand, the image of each
+    basis element as a set of flat indices, from explicit atom masks."""
+    m, n = alg.v_dim, alg.atom_count
+    links = [sequence_links(m, n, i) for i in range(d + 1)]
+    dim = alg.graded_dim
+
+    def a_idx_to_mask(p, a_idx):
+        if p == 1:
+            return alg.atom_part(alg.element(1, 1 << a_idx))
+        return 1 << a_idx
+
+    def left_mul(p, a_idx, g):
+        if p == 0:
+            return g
+        prod = a_idx_to_mask(p, a_idx) & alg.atom_part(alg.generator(g))
+        return prod.bit_length() - 1 if prod else None
+
+    offsets, sizes = [], []
+    for i in range(d + 1):
+        count = len(links[i].first)
+        block_at, pos = {}, 0
+        for p in range(d - i + 1):
+            if dim(p) and dim(d - i - p) and count:
+                block_at[p] = pos
+                pos += dim(p) * count * dim(d - i - p)
+        offsets.append(block_at)
+        sizes.append(pos)
+
+    def image_of(i, p, a, t, b):
+        seqs, below, width, q = links[i], offsets[i - 1], len(links[i - 1].first), d - i - p
+        out = set()
+        a2 = left_mul(p, a, seqs.first[t])
+        if a2 is not None and dim(p + 1):
+            out ^= {below[p + 1] + (a2 * width + seqs.suffix[t]) * dim(q) + b}
+        b2 = left_mul(q, b, seqs.last[t])
+        if b2 is not None and dim(q + 1):
+            out ^= {below[p] + (a * width + seqs.prefix[t]) * dim(q + 1) + b2}
+        return out
+
+    images = {
+        i: [
+            image_of(i, p, a, t, b)
+            for p in offsets[i]
+            for a in range(dim(p))
+            for t in range(len(links[i].first))
+            for b in range(dim(d - i - p))
+        ]
+        for i in range(1, d + 1)
+    }
+    return sizes, images
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(3) for n in range(4)])
+def test_strand_pairs_match_the_set_reference(m, n):
+    alg = ConnectedSumAlgebra(m, BooleanRing(n) if n else None)
+    top = 5
+    links = [sequence_links(m, n, i) for i in range(top + 1)]
+    mul = _product_table(alg, top)
+    for d in range(1, top + 1):
+        ref_sizes, images = reference_strand_images(alg, d)
+        sizes, differentials = _strand(alg, d, links, mul)
+        assert sizes == ref_sizes
+        for i, (first, second) in enumerate(differentials, 1):
+            assert len(first) == len(second) == sizes[i]
+            assert [{c for c in pair if c >= 0} for pair in zip(first, second)] == images[i]
+        assert i == d
+
+
+def swapped_links(monkeypatch, m, n, top):
+    """Make koszul.sequence_links hand out u[:-1] as u[1:] and back."""
+    links = [sequence_links(m, n, k) for k in range(top + 1)]
+    swapped = [t._replace(suffix=t.prefix, prefix=t.suffix) for t in links]
+    monkeypatch.setattr(koszul, "sequence_links", lambda m_, n_, k: swapped[k])
+
+
+def test_verify_koszul_fails_when_the_differential_does_not_square_to_zero(monkeypatch):
+    swapped_links(monkeypatch, 1, 1, 2)
+    rep = verify_koszul(ConnectedSumAlgebra(1, BooleanRing(1)), 2)
+    assert not rep.passed
+    assert rep.failures == ((2, -2, 3), (2, -2, 3))
+
+
+def test_verify_koszul_fails_when_degree_two_products_vanish(monkeypatch):
+    # with every product of a degree-2 element zero, the strand of internal
+    # degree 3 keeps homology at positions 0 and 1
+    real = koszul.graded_multiply
+
+    def product(alg, u, w):
+        if 2 in (u.degree, w.degree):
+            return GradedElement(u.degree + w.degree, 0)
+        return real(alg, u, w)
+
+    monkeypatch.setattr(koszul, "graded_multiply", product)
+    rep = verify_koszul(ConnectedSumAlgebra(1, BooleanRing(2)), 3)
+    assert not rep.passed
+    assert rep.failures == ((3, 0, 4), (3, 1, 2))
