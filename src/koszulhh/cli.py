@@ -208,7 +208,12 @@ def cmd_koszul_verify(args) -> tuple[dict, int]:
         summary = f"resolution exact through internal degree {args.max_internal_degree}"
     else:
         d, i, val = rep.failures[0]
-        summary = f"homology of dimension {val} at internal degree {d}, position {i}"
+        if i < 0:
+            summary = (
+                f"d∘d leaves {val} uncancelled terms from position {-i} at internal degree {d}"
+            )
+        else:
+            summary = f"homology of dimension {val} at internal degree {d}, position {i}"
     report = {
         "manifest": _manifest(args, summary),
         "algebra": _algebra_info(alg, None),
@@ -236,8 +241,19 @@ def cmd_bar_oracle(args) -> tuple[dict, int]:
     )
     if rep.skipped_from is not None:
         summary += f"; degrees from {rep.skipped_from} skipped by the cap"
+    manifest = _manifest(args, summary)
+    manifest["barBlocks"] = [
+        {
+            "q": m.q,
+            "columns": m.columns,
+            "blocks": m.blocks,
+            "widestBlock": m.widest,
+            "nonzeroBlocks": m.nonzero,
+        }
+        for m in rep.matrices
+    ]
     report = {
-        "manifest": _manifest(args, summary),
+        "manifest": manifest,
         "algebra": _algebra_info(alg, subring),
         "factors": factors,
         "skippedFrom": rep.skipped_from,

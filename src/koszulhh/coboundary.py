@@ -159,7 +159,8 @@ def solve_coboundary(hc: HochschildComplex, f: Cochain) -> Cochain:
     m = hc.m
     out_index = hc.sequence_index(k - 1)
     g_vals = [0] * len(out_index)
-    shift = hc.alg.v_dim if k - 1 + s == 1 else 0
+    # heads are atom masks; the algebra says where atoms sit in degree k-1+s
+    shift = hc.alg.from_parts(k - 1 + s, 0, 1).bits.bit_length() - 1 if hc.alg.ring else 0
     for orbit in orbit_decomposition(hc, k):
         ht = head_tail(hc, f, orbit)
         if not ht.law_holds(m):

@@ -22,12 +22,15 @@ by their atom masks.
 
 A reduced bar-complex oracle recomputes the same cohomology independently,
 internal degree by internal degree, as a cross-check on the Koszul route.
-Its truncated matrices are streamed as packed rows in ascending degree and
-never stored; full ranks are cached per (q, top), so a zero cell costs two
-eliminations.  The argument-degree filtration of a nonzero cell comes from
-one more pass per matrix: the highest-bit pivots of the k-th coboundary give
-the rank of every column suffix, and the rank after each output degree of
-the (k-1)-th gives every row prefix.
+Its coboundary preserves a multidegree weight, so every truncated matrix
+splits into a few hundred weight blocks.  Rows are assembled once, packed
+on the local columns of their block, and each block is eliminated on its
+own; the per-block ranks are cached per (q, top), so a zero cell costs one
+elimination per nonempty block.  The argument-degree filtration is the sum
+over blocks, and a block with zero cohomology contributes nothing, so only
+the blocks with nonzero cohomology get one more pass: the highest-bit
+pivots of the k-th coboundary give the rank of every column suffix, and the
+rank after each output degree of the (k-1)-th gives every row prefix.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring, graded_multiply
@@ -102,12 +104,29 @@ class BarFactor:
 
 
 @dataclass(frozen=True)
+class BarBlocks:
+    """Weight-block shape of one eliminated matrix, the truncated q-th coboundary.
+
+    columns counts its q-cochains, split into blocks weight blocks of at most
+    widest columns each; nonzero counts the blocks that the filtration pass
+    reads again because the cohomology there is nonzero.
+    """
+
+    q: int
+    columns: int
+    blocks: int
+    widest: int
+    nonzero: int
+
+
+@dataclass(frozen=True)
 class BarReport:
     k: int
     s: int
     max_internal_degree: int
     factors: tuple[BarFactor, ...]
     skipped_from: int | None  # smallest degree the cap kept out of the truncation
+    matrices: tuple[BarBlocks, ...] = ()  # the eliminated matrices, ascending q
 
     @property
     def total(self) -> int:
@@ -400,37 +419,74 @@ class HochschildComplex:
             top = d
         skipped_from = top + 1 if top < max_internal_degree else None
         factors = []
+        matrices = ()
         if top >= 0:
             cum = 0
             for d, piece in enumerate(bar.graded_cohomology(k, top)):
                 cum += piece
                 factors.append(BarFactor(d, cum, piece))
-        return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from)
+            matrices = bar.block_stats(k, top)
+        return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from, matrices)
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Weight blocks of the q-cochains of argument degree <= top.
+
+    Global column c lies in block block[c] at index local[c] within it; local
+    indices keep the global order, so within a block they still ascend by
+    argument degree.  codes[b] is the weight code of block b, and starts[d][b]
+    counts its columns of argument degree < d for d = 0 .. top + 1, so the
+    last entry holds the block sizes.
+    """
+
+    block: array
+    local: array
+    codes: list[int]
+    starts: list[array]
+
+    @property
+    def sizes(self) -> array:
+        return self.starts[-1]
 
 
 class _BarComplex:
     """Reduced bar cochains Hom((Q+^(x)q)_e, M_(e+s)) for one shift s.
 
     Tensor factors are basis elements of the positive part of the coefficient
-    algebra, tagged (degree, index).  Columns of the q-th coboundary are laid
-    out in blocks of ascending argument degree, so the truncation at degree
-    top is the leading block of columns and the rows of output degree <= top.
-    Each truncated matrix is assembled on the fly, row by row in ascending
-    output degree, and never stored; factor actions and products are
-    tabulated once per output degree.  Its full rank is cached per (q, top),
-    so adjacent bidegrees share it.  Tensor counts, cochain dimensions (hence
-    block offsets), bases and their indices are memoized per instance, so a
+    algebra, tagged (degree, index).  Global columns of the q-th coboundary
+    run through the argument degrees in ascending order, so the truncation at
+    degree top is the leading run of columns and the rows of output degree
+    <= top.
+
+    The coboundary preserves weight.  A coordinate (word t, module coordinate
+    c) has weight mdeg(c) - mdeg(t), where v_i has multidegree e_(v_i) and a
+    degree-d element of coefficient block b has d e_b (a module atom counts
+    toward the block that holds it).  Every truncated matrix is therefore a
+    direct sum of weight blocks, a few hundred of at most a few thousand
+    columns each.  _layout gives each column its block and its index within
+    the block.  Rows are assembled in ascending output degree, packed on
+    those local indices and appended to their block's bucket; each bucket is
+    eliminated on its own, and the per-block ranks are cached per (q, top),
+    so adjacent bidegrees share them.  Tensor counts, cochain dimensions,
+    bases, their indices and the layouts are memoized per instance, so a
     complex is freed together with its HochschildComplex.
     """
 
     def __init__(self, hc: HochschildComplex, s: int):
         self.hc = hc
         self.s = s
+        # coefficient block of each module atom
+        self._atom_block = [
+            next(b for b, mask in enumerate(hc.blocks) if mask >> a & 1)
+            for a in range(hc.alg.atom_count)
+        ]
         self._rank_cache: dict = {}
         self._count_cache: dict = {}
         self._dim_cache: dict = {}
         self._basis_cache: dict = {}
         self._index_cache: dict = {}
+        self._layout_cache: dict = {}
 
     def q_dim(self, e: int) -> int:
         if e < 1:
@@ -489,8 +545,8 @@ class _BarComplex:
             self._dim_cache[key] = hit
         return hit
 
-    def block_offset(self, q: int, e: int) -> int:
-        """Flat column offset of the degree-e block: cumulative lower-degree dims."""
+    def degree_offset(self, q: int, e: int) -> int:
+        """Global column of the first q-cochain of argument degree e."""
         return self.cochain_dim(q, e - 1)
 
     def workload(self, k: int, d: int) -> int:
@@ -500,6 +556,10 @@ class _BarComplex:
         for a, b in zip(dims, dims[1:]):
             out = max(out, a + b)
         return out
+
+    def _factors(self, e: int) -> list[tuple[int, int]]:
+        """Every tensor factor of degree <= e."""
+        return [(d1, i) for d1 in range(1, e + 1) for i in range(self.q_dim(d1))]
 
     def _factor_element(self, factor: tuple[int, int]) -> GradedElement:
         d1, i = factor
@@ -515,19 +575,96 @@ class _BarComplex:
             return None
         return (f1[0] + f2[0], b1)
 
-    def rows_for_degree(self, q: int, e: int) -> Iterator[int]:
-        """Nonzero rows of the bar coboundary with output argument degree exactly e.
+    # -- weight blocks -------------------------------------------------------
 
-        Rows are column bitmasks in the absolute degree-graded layout, so the
-        rows for degrees <= d form the truncated differential for every d.
-        Repeated entries cancel mod 2.
+    def _weight_code(self, x: GradedElement, radix: int) -> int:
+        """Integer code of the multidegree of a basis element or a block.
+
+        The multidegree's components are digits in base radix, the blocks
+        first and then the v's.  Weights have digits of absolute value below
+        radix / 2, so the code of a weight determines it, and the code of a
+        difference is the difference of the codes.
+        """
+        if x.degree == 0:
+            return 0
+        alg = self.hc.alg
+        code = sum(radix ** (self.hc.nj + i) for i in _bits(alg.v_part(x)))
+        atoms = alg.atom_part(x)
+        if atoms:
+            code += x.degree * radix ** self._atom_block[(atoms & -atoms).bit_length() - 1]
+        return code
+
+    def _layout(self, q: int, top: int) -> _Layout:
+        """Weight block and local index of every q-cochain column up to degree top.
+
+        One counting pass in global column order: a column joins the block
+        of its weight code and takes the number of columns that joined
+        before it as its local index.  Weight digits lie in [-top, top + s],
+        and v digits in [-top, 1], so radix 2 (top + |s|) + 3 keeps the
+        codes apart.
+        """
+        key = (q, top)
+        hit = self._layout_cache.get(key)
+        if hit is not None:
+            return hit
+        radix = 2 * (top + abs(self.s)) + 3
+        factor_code = {
+            f: self._weight_code(self._factor_element(f), radix) for f in self._factors(top)
+        }
+        ids: dict[int, int] = {}
+        codes: list[int] = []
+        counts: list[int] = []
+        code = index_code(self.cochain_dim(q, top))
+        block, local = array(code), array(code)
+        starts = []
+        for e in range(top + 1):
+            starts.append(counts[:])
+            j = e + self.s
+            module = [
+                self._weight_code(self.hc.alg.element(j, 1 << c), radix)
+                for c in range(self.module_dim(j))
+            ]
+            if not module:
+                continue
+            for t in self.basis(q, e):
+                word = sum(map(factor_code.__getitem__, t))
+                for c_code in module:
+                    w = c_code - word
+                    b = ids.get(w)
+                    if b is None:
+                        b = ids[w] = len(codes)
+                        codes.append(w)
+                        counts.append(0)
+                    block.append(b)
+                    local.append(counts[b])
+                    counts[b] += 1
+        starts.append(counts)
+        starts = [array("i", s + [0] * (len(codes) - len(s))) for s in starts]
+        hit = _Layout(block, local, codes, starts)
+        self._layout_cache[key] = hit
+        return hit
+
+    def _lower_blocks(self, k: int, top: int) -> list[int]:
+        """Per weight block of the (k-1)-cochains, the k-cochain block of that weight, or -1."""
+        ids = {w: b for b, w in enumerate(self._layout(k, top).codes)}
+        return [ids.get(w, -1) for w in self._layout(k - 1, top).codes]
+
+    # -- rows and ranks ------------------------------------------------------
+
+    def _rows(self, q: int, e: int, layout: _Layout) -> Iterator[tuple[int, int]]:
+        """(block, row) for each nonzero row of the q-th coboundary of output degree e.
+
+        The row is packed on the local column indices of its weight block.
+        All its entries lie in that block, which is read from the column of
+        the last entry written.  Repeated entries cancel mod 2.
         """
         dim_out = self.module_dim(e + self.s)
         if not dim_out or not self.tensor_count(q + 1, e):
             return
-        factors = [(d1, i) for d1 in range(1, e + 1) for i in range(self.q_dim(d1))]
+        block, local = layout.block, layout.local
+        factors = self._factors(e)
         # per acting factor: (output coordinate, input column) pairs of its
-        # action, and the input block it reads
+        # action, and the input degree run it reads
         acting = {}
         for f in factors:
             e_in = e - f[0]
@@ -537,17 +674,18 @@ class _BarComplex:
             act = _action_rows(self.hc.alg, self._factor_element(f), e_in + self.s)
             pairs = [(r, row.bit_length() - 1) for r, row in enumerate(act) if row]
             if pairs:
-                acting[f] = (pairs, self.index_map(q, e_in), self.block_offset(q, e_in), dim_in)
+                acting[f] = (pairs, self.index_map(q, e_in), self.degree_offset(q, e_in), dim_in)
         products = {}
         for f1 in factors:
             for f2 in factors:
                 prod = self._product(f1, f2)
                 if prod is not None:
                     products[(f1, f2)] = prod
-        base_off = self.block_offset(q, e)
+        base_off = self.degree_offset(q, e)
         index_e = self.index_map(q, e)
         for w in self.basis(q + 1, e):
             row = [0] * dim_out
+            at = [0] * dim_out  # a global column of each row's entries
             # outer terms: first factor acts on the right-truncated input,
             # last factor on the left-truncated input
             for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
@@ -557,7 +695,9 @@ class _BarComplex:
                 pairs, index_in, off, dim_in = act
                 base = off + index_in[rest] * dim_in
                 for r, c in pairs:
-                    row[r] ^= 1 << (base + c)
+                    col = base + c
+                    row[r] ^= 1 << local[col]
+                    at[r] = col
             # inner terms: merge adjacent factors, module coordinate unchanged
             for i in range(q):
                 prod = products.get(w[i : i + 2])
@@ -565,66 +705,137 @@ class _BarComplex:
                     continue
                 base = base_off + index_e[w[:i] + (prod,) + w[i + 2 :]] * dim_out
                 for r in range(dim_out):
-                    row[r] ^= 1 << (base + r)
-            for packed in row:
+                    col = base + r
+                    row[r] ^= 1 << local[col]
+                    at[r] = col
+            for r, packed in enumerate(row):
                 if packed:
-                    yield packed
+                    yield block[at[r]], packed
 
-    def rows(self, q: int, top: int) -> Iterator[int]:
-        """Rows of the coboundary truncated at argument degree top, ascending degree."""
-        return chain.from_iterable(self.rows_for_degree(q, e) for e in range(top + 1))
+    def _buckets(self, q: int, top: int) -> tuple[list[list[int]], list[array]]:
+        """Rows of the q-th coboundary truncated at top, one bucket per weight block.
 
-    def rank(self, q: int, top: int) -> int:
-        """Rank of the coboundary on cochains supported in argument degrees <= top."""
-        if q < 0:
-            return 0
+        Buckets are indexed by the blocks of the q-cochains and filled in
+        ascending output degree; ends[e][b] is the length of bucket b once
+        the rows of output degree e are in.  No row is wider than its block.
+        """
+        layout = self._layout(q, top)
+        buckets: list[list[int]] = [[] for _ in layout.codes]
+        ends = []
+        for e in range(top + 1):
+            for b, packed in self._rows(q, e, layout):
+                buckets[b].append(packed)
+            ends.append(array("i", map(len, buckets)))
+        return buckets, ends
+
+    def _block_ranks(self, q: int, top: int, keep: dict | None = None) -> array:
+        """Per weight block of the q-cochains, the rank of the truncated q-th coboundary on it.
+
+        One echelon_rank per nonempty bucket.  Cached per (q, top); when the
+        ranks are computed here and keep is given, the buckets and their
+        degree ends are left in keep[q] for the filtration pass.
+        """
         key = (q, top)
         hit = self._rank_cache.get(key)
         if hit is None:
-            hit = echelon_rank(self.rows(q, top))
+            buckets, ends = self._buckets(q, top)
+            hit = array("i", [echelon_rank(rows) if rows else 0 for rows in buckets])
             self._rank_cache[key] = hit
+            if keep is not None:
+                keep[q] = (buckets, ends)
         return hit
 
-    def graded_cohomology(self, k: int, top: int) -> list[int]:
+    # -- cohomology ----------------------------------------------------------
+
+    def nonzero_blocks(self, k: int, top: int, keep: dict | None = None) -> list[int]:
+        """Weight blocks of the k-cochains whose truncated cohomology is nonzero.
+
+        Block b carries cocycles minus coboundaries: its size, less the rank
+        of the k-th coboundary on it, less the rank of the (k-1)-th on the
+        block of the same weight below.
+        """
+        layout = self._layout(k, top)
+        if not layout.block:
+            return []
+        h = list(layout.sizes)
+        for b, r in enumerate(self._block_ranks(k, top, keep)):
+            h[b] -= r
+        if k >= 1:
+            for b, r in zip(self._lower_blocks(k, top), self._block_ranks(k - 1, top, keep)):
+                if r:
+                    h[b] -= r
+        return [b for b, left in enumerate(h) if left]
+
+    def graded_cohomology(self, k: int, top: int, blocks=None) -> list[int]:
         """Argument-degree graded pieces of H^k at truncation top.
 
         Cochains supported in degrees >= d form a subcomplex (the coboundary
         never lowers argument degree); the dimensions of the induced
         decreasing filtration on cohomology difference to one piece per
-        degree, and the pieces sum to the truncated cohomology.  A zero
-        cohomology group forces every piece to zero without further ranks.
+        degree, and the pieces sum to the truncated cohomology.  The
+        filtration is the sum of those of the weight blocks, and a block with
+        zero cohomology has every piece zero, so by default only the blocks
+        of nonzero_blocks are read; blocks names the k-cochain blocks to sum
+        over instead.
 
-        Otherwise one more pass over each matrix gives every floor at once.
-        The cocycles of degree >= d are the kernel of the k-th coboundary on
-        the columns from block_offset(k, d), whose rank is the number of
-        highest-bit pivots at or above that column.  The coboundaries meeting
-        them are the image of the (k-1)-th coboundary minus the image of its
-        rows of output degree < d, whose rank is read off after inserting the
-        rows degree by degree.
+        One more pass over a block's rows gives every floor at once.  The
+        cocycles of degree >= d are the kernel of the k-th coboundary on the
+        block's columns from degree d on, whose rank is the number of
+        highest-bit pivots at or above the first of them.  The coboundaries
+        meeting them are the image of the (k-1)-th coboundary minus the
+        image of its rows of output degree < d, whose rank is read off after
+        inserting the rows degree by degree.  Buckets assembled for the ranks
+        of this call are reused, so a fresh cell assembles each matrix once.
         """
-        dim_k = self.cochain_dim(k, top)
-        if dim_k == 0:
-            return [0] * (top + 1)
-        r_in = self.rank(k - 1, top)
-        if dim_k - self.rank(k, top) - r_in == 0:
-            return [0] * (top + 1)
-        basis = EchelonBasis()
-        basis.extend(self.rows(k, top))
-        pivots = basis.pivots()
-        del basis  # free it before the second pass builds its own
-        # below[d]: rank of the rows of the (k-1)-th coboundary of output degree < d
-        below = [0] * (top + 2)
+        keep: dict = {}
+        if blocks is None:
+            blocks = self.nonzero_blocks(k, top, keep)
+        pieces = [0] * (top + 1)
+        if not blocks:
+            return pieces
+        layout = self._layout(k, top)
+        rows_out = (keep.get(k) or self._buckets(k, top))[0]
+        lower = {}
         if k >= 1:
+            rows_in, ends = keep.get(k - 1) or self._buckets(k - 1, top)
+            lower = {b: b_in for b_in, b in enumerate(self._lower_blocks(k, top)) if b >= 0}
+        for b in blocks:
             basis = EchelonBasis()
-            for e in range(top + 1):
-                basis.extend(self.rows_for_degree(k - 1, e))
-                below[e + 1] = basis.rank
-        filtered = []
-        for d in range(top + 2):
-            floor = self.block_offset(k, d)
-            cocycles = dim_k - floor - (len(pivots) - bisect_left(pivots, floor))
-            filtered.append(cocycles - (r_in - below[d]))
-        return [filtered[d] - filtered[d + 1] for d in range(top + 1)]
+            basis.extend(rows_out[b])
+            pivots = basis.pivots()
+            # below[d]: rank of the block's rows of the (k-1)-th coboundary of output degree < d
+            below = [0] * (top + 2)
+            b_in = lower.get(b)
+            if b_in is not None:
+                basis = EchelonBasis()
+                rows, start = rows_in[b_in], 0
+                for e in range(top + 1):
+                    basis.extend(rows[start : ends[e][b_in]])
+                    start = ends[e][b_in]
+                    below[e + 1] = basis.rank
+            filtered = []
+            for d in range(top + 2):
+                floor = layout.starts[d][b]
+                cocycles = layout.sizes[b] - floor - (len(pivots) - bisect_left(pivots, floor))
+                filtered.append(cocycles - (below[top + 1] - below[d]))
+            for d in range(top + 1):
+                pieces[d] += filtered[d] - filtered[d + 1]
+        return pieces
+
+    def block_stats(self, k: int, top: int) -> tuple[BarBlocks, ...]:
+        """Weight-block shape of the matrices eliminated for H^k at truncation top."""
+        if not self._layout(k, top).block:
+            return ()
+        hot = set(self.nonzero_blocks(k, top))
+        read = {k: len(hot)}
+        if k >= 1:
+            read[k - 1] = sum(b in hot for b in self._lower_blocks(k, top))
+        out = []
+        for q in sorted(read):
+            layout = self._layout(q, top)
+            widest = max(layout.sizes, default=0)
+            out.append(BarBlocks(q, len(layout.block), len(layout.codes), widest, read[q]))
+        return tuple(out)
 
 
 def hh_dim(alg: ConnectedSumAlgebra, k: int, s: int, subring: Subring | None = None) -> int:

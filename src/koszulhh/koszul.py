@@ -224,7 +224,9 @@ class KoszulReport:
     atoms: int
     max_internal_degree: int
     passed: bool
-    failures: tuple  # (internal degree, homological position, homology dim)
+    # (internal degree, homological position, homology dim); a d∘d failure from
+    # position i is (internal degree, -i, uncancelled terms)
+    failures: tuple
     components_checked: int
 
 

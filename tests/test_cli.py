@@ -144,6 +144,8 @@ def test_koszul_verify_exits_1_when_the_resolution_fails(capsys, monkeypatch):
     )
     assert code == 1 and not rep["passed"]
     assert rep["results"] == [{"d": 2, "position": -2, "value": 3}] * 2
+    summary = "d∘d leaves 3 uncancelled terms from position 2 at internal degree 2"
+    assert rep["manifest"]["summary"] == summary
 
 
 @pytest.mark.parametrize("extra", [("7", "--cap", "10"), ("14",), ("20",)])
@@ -171,6 +173,10 @@ def test_bar_oracle(capsys):
     assert rep["skippedFrom"] is None
     assert [f["increment"] for f in rep["factors"]] == [0, 0, 3, 0, 0, 0, 0]
     assert [f["cumulative"] for f in rep["factors"]] == [0, 0, 3, 3, 3, 3, 3]
+    # the 3 classes sit in 3 of the 78 weight blocks of C^2
+    shapes = rep["manifest"]["barBlocks"]
+    assert [(b["q"], b["blocks"], b["nonzeroBlocks"]) for b in shapes] == [(1, 33, 3), (2, 78, 3)]
+    assert all(0 < b["widestBlock"] < b["columns"] for b in shapes)
 
 
 def test_bar_oracle_csv(capsys):

@@ -391,30 +391,99 @@ def _reference_graded_cohomology(bar, k, top):
     return [filtered[d] - filtered[d + 1] for d in range(top + 1)]
 
 
-# the four exceptional fixtures of the acceptance suite, a coarser subring,
-# and a weight-0 cell, the only one here whose pieces change when the
-# last-factor term is dropped; every truncation through degree 6
-@pytest.mark.parametrize(
-    "m, n, blocks, k, s",
-    [
-        (0, 3, None, 2, -1),
-        (0, 3, None, 3, -2),
-        (1, 3, None, 2, -1),
-        (1, 3, None, 3, -2),
-        (0, 3, ((0, 1), (2,)), 2, -1),
-        (1, 2, None, 1, 0),
-    ],
-)
-def test_bar_filtration_matches_the_per_floor_reference(m, n, blocks, k, s):
-    ring = BooleanRing(n)
+def _reference_weights(bar, q, top):
+    """Weight of every q-cochain column up to degree top: the multidegree of
+    the module coordinate minus that of the word, indexed by the coefficient
+    blocks and then the v's, from the explicit basis layout (degree 1 holds
+    the v's, then the atoms; a module atom counts toward its block)."""
+    hc = bar.hc
+    nb = hc.nj
+
+    def atom_block(a):
+        return next(b for b, mask in enumerate(hc.blocks) if mask >> a & 1)
+
+    out = []
+    for e in range(top + 1):
+        j = e + bar.s
+        for t in bar.basis(q, e):
+            word = [0] * (nb + hc.m)
+            for d1, i in t:
+                if d1 == 1 and i < hc.m:
+                    word[nb + i] += 1
+                else:
+                    word[i - hc.m if d1 == 1 else i] += d1
+            for c in range(bar.module_dim(j)):
+                module = [0] * (nb + hc.m)
+                if j == 1 and c < hc.m:
+                    module[nb + c] = 1
+                elif j >= 1:
+                    module[atom_block(c - hc.m if j == 1 else c)] = j
+                out.append(tuple(x - y for x, y in zip(module, word)))
+    return out
+
+
+# the four exceptional fixtures of the acceptance suite, coarser subrings
+# with and without v's, two v-only algebras (no atoms), and a weight-0 cell,
+# the only one here whose pieces change when the last-factor term is dropped
+BAR_CELLS = [
+    (0, 3, None, 2, -1),
+    (0, 3, None, 3, -2),
+    (1, 3, None, 2, -1),
+    (1, 3, None, 3, -2),
+    (0, 3, ((0, 1), (2,)), 2, -1),
+    (1, 3, ((0, 1), (2,)), 2, -1),
+    (2, 0, None, 2, -1),
+    (1, 0, None, 2, -2),
+    (1, 2, None, 1, 0),
+]
+
+
+def _bar_complex(m, n, blocks, s):
+    ring = BooleanRing(n) if n else None
     subring = None
     if blocks is not None:
         subring = Subring(ring, [sum(ring.atom(a) for a in b) for b in blocks])
-    hc = HochschildComplex(ConnectedSumAlgebra(m, ring), subring)
-    bar = _BarComplex(hc, s)
+    return _BarComplex(HochschildComplex(ConnectedSumAlgebra(m, ring), subring), s)
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+def test_every_bar_row_lies_in_one_weight_block(m, n, blocks, k, s):
+    bar = _bar_complex(m, n, blocks, s)
+    top = 5
+    for q in range(max(k - 1, 0), k + 1):
+        weights = _reference_weights(bar, q, top)
+        layout = bar._layout(q, top)
+        # the layout's blocks are exactly the weights, and local indices
+        # count the block's columns in global order
+        assert len(layout.block) == len(weights) == bar.cochain_dim(q, top)
+        assert len(set(zip(weights, layout.block))) == len(set(weights)) == len(layout.codes)
+        seen = [0] * len(layout.codes)
+        for b, i in zip(layout.block, layout.local):
+            assert i == seen[b]
+            seen[b] += 1
+        assert list(layout.sizes) == seen
+        for d in range(top + 2):
+            below = [0] * len(layout.codes)
+            for b in layout.block[: bar.degree_offset(q, d)]:
+                below[b] += 1
+            assert list(layout.starts[d]) == below
+        # every row keeps the weight, so its support lies in one block, and
+        # the full rank is the sum of the block ranks
+        packed = []
+        for e in range(top + 1):
+            for entries in _reference_bar_rows(bar, q, e):
+                support = {c for c in entries if entries.count(c) % 2}
+                assert len({weights[c] for c in support}) <= 1, (q, e, support)
+                packed.append(sum(1 << c for c in support))
+        assert sum(bar._block_ranks(q, top)) == echelon_rank(packed)
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+def test_bar_filtration_matches_the_per_floor_reference(m, n, blocks, k, s):
+    bar = _bar_complex(m, n, blocks, s)
     pieces = [bar.graded_cohomology(k, top) for top in range(7)]
     assert pieces == [_reference_graded_cohomology(bar, k, top) for top in range(7)]
-    assert sum(pieces[-1]) == hc.hh(k, s).cohomology
+    assert sum(pieces[-1]) == bar.hc.hh(k, s).cohomology
 
 
 def test_capped_bar_filtration_matches_the_per_floor_reference():
@@ -423,6 +492,45 @@ def test_capped_bar_filtration_matches_the_per_floor_reference():
     assert rep.skipped_from == 7
     expected = _reference_graded_cohomology(_BarComplex(hc, -4), 5, 6)
     assert [f.increment for f in rep.factors] == expected == [0, 0, 0, 0, 0, 24, 0]
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+def test_capped_bar_filtration_matches_the_per_floor_reference_on_every_cell(m, n, blocks, k, s):
+    bar = _bar_complex(m, n, blocks, s)
+    # the cap admits the last degree through 5 after which the workload grows
+    top = max(d for d in range(6) if bar.workload(k, d + 1) > bar.workload(k, d))
+    rep = bar.hc.bar_oracle(k, s, 8, cap=bar.workload(k, top))
+    assert rep.skipped_from == top + 1
+    expected = _reference_graded_cohomology(_bar_complex(m, n, blocks, s), k, top)
+    assert [f.increment for f in rep.factors] == expected
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+def test_bar_filtration_over_every_block_equals_the_nonzero_blocks(m, n, blocks, k, s):
+    shortcut, every = _bar_complex(m, n, blocks, s), _bar_complex(m, n, blocks, s)
+    for top in range(7):
+        all_blocks = range(len(every._layout(k, top).codes))
+        pieces = shortcut.graded_cohomology(k, top)
+        assert pieces == every.graded_cohomology(k, top, blocks=all_blocks)
+        # once the ranks are cached the buckets are assembled again
+        assert pieces == shortcut.graded_cohomology(k, top)
+    # with atoms the shortcut leaves blocks out; on the two v-only cells
+    # every block of C^k carries cohomology
+    assert (len(shortcut.nonzero_blocks(k, 6)) < len(all_blocks)) == (n > 0)
+
+
+def test_bar_oracle_reports_the_block_shape_of_each_matrix():
+    hc = HochschildComplex(ConnectedSumAlgebra(1, BooleanRing(3)))
+    rep = hc.bar_oracle(2, -1, 6)
+    bar = hc._bar_cache[-1]
+    assert [m.q for m in rep.matrices] == [1, 2]
+    for m in rep.matrices:
+        layout = bar._layout(m.q, 6)
+        assert (m.columns, m.blocks, m.widest) == (
+            bar.cochain_dim(m.q, 6), len(layout.codes), max(layout.sizes)
+        )
+    assert rep.matrices[1].nonzero == len(bar.nonzero_blocks(2, 6)) > 0
+    assert hh_bar_oracle(ConnectedSumAlgebra(0, BooleanRing(3)), 3, -1, 6).matrices[1].nonzero == 0
 
 
 def test_bar_complex_is_freed_with_its_hochschild_complex():
