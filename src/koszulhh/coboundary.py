@@ -159,14 +159,12 @@ def solve_coboundary(hc: HochschildComplex, f: Cochain) -> Cochain:
     m = hc.m
     out_index = hc.sequence_index(k - 1)
     g_vals = [0] * len(out_index)
-    # heads are atom masks; the algebra says where atoms sit in degree k-1+s
-    shift = hc.alg.from_parts(k - 1 + s, 0, 1).bits.bit_length() - 1 if hc.alg.ring else 0
     for orbit in orbit_decomposition(hc, k):
         ht = head_tail(hc, f, orbit)
         if not ht.law_holds(m):
             raise NotACocycleError("head/tail law fails around an orbit", orbit.sequences[0])
         for t in orbit.sequences:
-            g_vals[out_index[drop_first(t)]] ^= ht.heads[t] << shift
+            g_vals[out_index[drop_first(t)]] ^= hc.alg.from_parts(k - 1 + s, 0, ht.heads[t]).bits
     g = Cochain(k - 1, s, tuple(g_vals))
     if hc.coboundary_of(g) != f:
         raise AssertionError("constructed primitive failed verification")

@@ -766,7 +766,7 @@ class _BarComplex:
                     h[b] -= r
         return [b for b, left in enumerate(h) if left]
 
-    def graded_cohomology(self, k: int, top: int, blocks=None) -> list[int]:
+    def graded_cohomology(self, k: int, top: int) -> list[int]:
         """Argument-degree graded pieces of H^k at truncation top.
 
         Cochains supported in degrees >= d form a subcomplex (the coboundary
@@ -774,9 +774,8 @@ class _BarComplex:
         decreasing filtration on cohomology difference to one piece per
         degree, and the pieces sum to the truncated cohomology.  The
         filtration is the sum of those of the weight blocks, and a block with
-        zero cohomology has every piece zero, so by default only the blocks
-        of nonzero_blocks are read; blocks names the k-cochain blocks to sum
-        over instead.
+        zero cohomology has every piece zero, so only the blocks of
+        nonzero_blocks are read.
 
         One more pass over a block's rows gives every floor at once.  The
         cocycles of degree >= d are the kernel of the k-th coboundary on the
@@ -788,8 +787,7 @@ class _BarComplex:
         of this call are reused, so a fresh cell assembles each matrix once.
         """
         keep: dict = {}
-        if blocks is None:
-            blocks = self.nonzero_blocks(k, top, keep)
+        blocks = self.nonzero_blocks(k, top, keep)
         pieces = [0] * (top + 1)
         if not blocks:
             return pieces

@@ -381,6 +381,12 @@ def test_replay_round_trip(capsys, tmp_path):
     assert code == 0
     assert rep["match"] and rep["replayedCommand"] == "bar-oracle"
 
+    # a report saved without the block shape still replays as a match
+    del stored["manifest"]["barBlocks"]
+    report_path.write_text(json.dumps(stored))
+    code, rep = run_json(capsys, "replay", "--manifest", str(report_path))
+    assert code == 0 and rep["match"]
+
 
 def test_replay_detects_tampering(capsys, tmp_path):
     report_path = tmp_path / "grid.json"
