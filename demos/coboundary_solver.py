@@ -16,25 +16,27 @@ from koszulhh.coboundary import (
     solve_coboundary,
 )
 from koszulhh.hochschild import Cochain, HochschildComplex
+from koszulhh.koszul import admissible_sequences
 
 alg = ConnectedSumAlgebra(0, BooleanRing(3))
 hc = HochschildComplex(alg)
+# orbits and cochains address sequences by position; these name them
+seqs = {k: admissible_sequences(alg, k) for k in (1, 2, 3)}
 
 # Orbits of the rotation on length-2 sequences: three unstable pairs.
 for orbit in orbit_decomposition(hc, 2):
-    print("orbit", orbit.sequences, "stable:", orbit.stable,
-          "truncations:", orbit.truncation_set())
+    print("orbit", tuple(seqs[2][p] for p in orbit.sequences), "stable:", orbit.stable,
+          "truncations:", tuple(seqs[2][p][1:] for p in orbit.sequences))
 
 # A hand-sized example: the cocycle supported on the stable sequence
 # (x1, x2, x1) with value x1.  Its primitive lives on the truncation (x2, x1).
-index = hc.sequence_index(3)
-vals = [0] * len(index)
-vals[index[(0, 1, 0)]] = 0b001
+vals = [0] * len(seqs[3])
+vals[seqs[3].index((0, 1, 0))] = 0b001
 f = Cochain(3, -1, tuple(vals))
 print("\nis a cocycle:", hc.is_cocycle(f))
 
 g = solve_coboundary(hc, f)
-support = [(t, f"{g.values[i]:03b}") for t, i in hc.sequence_index(2).items() if g.values[i]]
+support = [(seqs[2][i], f"{v:03b}") for i, v in enumerate(g.values) if v]
 print("primitive supported on:", support)
 print("coboundary of the primitive equals f:", hc.coboundary_of(g) == f)
 
@@ -43,7 +45,7 @@ rng = random.Random(1)
 f = hc.random_cocycle(3, -1, rng)
 for orbit in orbit_decomposition(hc, 3)[:4]:
     ht = head_tail(hc, f, orbit)
-    print("orbit", orbit.sequences[0], "head/tail law holds:", ht.law_holds(0))
+    print("orbit", seqs[3][orbit.sequences[0]], "head/tail law holds:", ht.law_holds())
 
 # One hundred random cocycles across bidegrees, every primitive exact.
 solved = 0

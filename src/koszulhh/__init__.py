@@ -21,16 +21,11 @@ from .coboundary import (
     HeadTail,
     Orbit,
     bottom_cocycles,
-    drop_first,
-    drop_last,
     extend_cocycle,
     extend_cocycle_split,
     head_tail,
-    is_stable,
     orbit_decomposition,
     restrict_cochain,
-    rotate_back,
-    rotate_forward,
     solve_coboundary,
 )
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
@@ -107,8 +102,6 @@ __all__ = [
     "default_cap",
     "dg_algebra_from_dict",
     "dg_algebra_to_dict",
-    "drop_first",
-    "drop_last",
     "extend_cocycle",
     "extend_cocycle_split",
     "extend_with_acyclic_pairs",
@@ -120,7 +113,6 @@ __all__ = [
     "ideal_decompose",
     "ideal_membership",
     "is_admissible",
-    "is_stable",
     "kadeishvili_check",
     "koszul_space_generic",
     "lift_coboundary",
@@ -130,8 +122,6 @@ __all__ = [
     "massey_product_set",
     "orbit_decomposition",
     "restrict_cochain",
-    "rotate_back",
-    "rotate_forward",
     "solve_coboundary",
     "echelon_rank",
     "sparse_rank",

@@ -20,69 +20,48 @@ from dataclasses import dataclass
 from .algebra import Subring
 from .errors import NotACocycleError
 from .hochschild import Cochain, HochschildComplex
-
-
-def rotate_forward(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Move the last entry to the front; stable sequences are fixed."""
-    if is_stable(seq, m):
-        return seq
-    return (seq[-1],) + seq[:-1]
-
-
-def rotate_back(seq: tuple[int, ...], m: int) -> tuple[int, ...]:
-    """Inverse translation: move the first entry to the back."""
-    if is_stable(seq, m):
-        return seq
-    return seq[1:] + (seq[0],)
-
-
-def is_stable(seq: tuple[int, ...], m: int) -> bool:
-    return len(seq) >= 1 and seq[0] == seq[-1] and seq[0] >= m
-
-
-def drop_first(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return seq[1:]
-
-
-def drop_last(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return seq[:-1]
+from .koszul import child_position, count_admissible
 
 
 @dataclass(frozen=True)
 class Orbit:
-    """One translation orbit, listed from its lexicographically least element.
+    """One translation orbit of sequence positions, from its lexicographically
+    least member; each further member is the inverse translate of the one
+    before it.
 
     r_fixed marks unstable sequences that the rotation nevertheless fixes
     (constant sequences of one non-atom generator); they carry zero head and
     tail throughout.
     """
 
-    sequences: tuple[tuple[int, ...], ...]
+    sequences: tuple[int, ...]
     stable: bool
     r_fixed: bool
 
-    def truncation_set(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(drop_first(t) for t in self.sequences)
-
 
 def orbit_decomposition(hc: HochschildComplex, k: int) -> list[Orbit]:
-    """Partition the admissible length-k sequences into translation orbits."""
+    """Partition the admissible length-k sequences into translation orbits.
+
+    The inverse translate of an unstable u is u[1:] + (u[0],), the child of
+    its suffix with generator u[0]; stable sequences are fixed.
+    """
     if k < 1:
         raise ValueError("orbits need positive length")
-    m = hc.m
-    seen = set()
+    m, nj = hc.m, hc.nj
+    first, last, suffix, _ = hc.links(k)
+    seen = bytearray(len(first))
     orbits = []
-    for start in hc.sequences(k):
-        if start in seen:
+    for start in range(len(first)):
+        if seen[start]:
             continue
         chain = [start]
-        seen.add(start)
-        cur = rotate_forward(start, m)
+        seen[start] = 1
+        stable = first[start] == last[start] >= m
+        cur = start if stable else child_position(m, nj, k - 1, suffix[start], first[start])
         while cur != start:
             chain.append(cur)
-            seen.add(cur)
-            cur = rotate_forward(cur, m)
-        stable = is_stable(start, m)
+            seen[cur] = 1
+            cur = child_position(m, nj, k - 1, suffix[cur], first[cur])
         orbits.append(Orbit(tuple(chain), stable, not stable and len(chain) == 1))
     return orbits
 
@@ -91,18 +70,18 @@ def orbit_decomposition(hc: HochschildComplex, k: int) -> list[Orbit]:
 class HeadTail:
     """Ideal components of a cocycle's values around one orbit.
 
-    heads[t] lies in the ideal of the first entry's mask, tails[t] in the
-    last entry's; their sum recovers the value.
+    heads[i] lies in the ideal of the first entry's mask of orbit.sequences[i],
+    tails[i] in its last entry's; their sum recovers the value.
     """
 
     orbit: Orbit
-    heads: dict
-    tails: dict
+    heads: tuple[int, ...]
+    tails: tuple[int, ...]
 
-    def law_holds(self, m: int) -> bool:
-        return all(
-            self.heads[rotate_forward(t, m)] == self.tails[t] for t in self.orbit.sequences
-        )
+    def law_holds(self) -> bool:
+        """The head of each translate equals the tail: the translate of
+        sequences[i + 1] is sequences[i], cyclically."""
+        return self.heads == self.tails[1:] + self.tails[:1]
 
 
 def _boolean_value(hc: HochschildComplex, f: Cochain, pos: int) -> int:
@@ -111,7 +90,7 @@ def _boolean_value(hc: HochschildComplex, f: Cochain, pos: int) -> int:
     bits = f.values[pos]
     if j == 1:
         if bits & ((1 << hc.alg.v_dim) - 1):
-            raise NotACocycleError("value has a component outside the Boolean part", bits)
+            raise NotACocycleError("value has a component outside the Boolean part", (pos, bits))
         return bits >> hc.alg.v_dim
     return bits
 
@@ -124,21 +103,22 @@ def head_tail(hc: HochschildComplex, f: Cochain, orbit: Orbit) -> HeadTail:
     """
     if f.k + f.s < 1:
         raise ValueError("values must sit in positive module degrees")
-    index = hc.sequence_index(f.k)
+    first, last = hc.links(f.k)[:2]
     one = (1 << hc.alg.atom_count) - 1
-    heads, tails = {}, {}
-    for t in orbit.sequences:
-        val = _boolean_value(hc, f, index[t])
-        p_first = hc.generator_mask(t[0])
-        p_last = hc.generator_mask(t[-1])
+    heads, tails = [], []
+    for pos in orbit.sequences:
+        val = _boolean_value(hc, f, pos)
+        p_first = hc.generator_mask(first[pos])
+        p_last = hc.generator_mask(last[pos])
         if val & ~(p_first | p_last) & one:
-            raise NotACocycleError("value escapes the end ideals", (t, val))
+            raise NotACocycleError("value escapes the end ideals", (pos, val))
         if orbit.stable:
-            heads[t] = tails[t] = val
+            heads.append(val)
+            tails.append(val)
         else:
-            heads[t] = val & p_first
-            tails[t] = val & p_last
-    return HeadTail(orbit, heads, tails)
+            heads.append(val & p_first)
+            tails.append(val & p_last)
+    return HeadTail(orbit, tuple(heads), tuple(tails))
 
 
 def solve_coboundary(hc: HochschildComplex, f: Cochain) -> Cochain:
@@ -156,15 +136,14 @@ def solve_coboundary(hc: HochschildComplex, f: Cochain) -> Cochain:
         raise ValueError("module degree below the Boolean range")
     if not hc.is_cocycle(f):
         raise NotACocycleError("coboundary is nonzero", None)
-    m = hc.m
-    out_index = hc.sequence_index(k - 1)
-    g_vals = [0] * len(out_index)
+    suffix = hc.links(k).suffix
+    g_vals = [0] * count_admissible(hc.m, hc.nj, k - 1)
     for orbit in orbit_decomposition(hc, k):
         ht = head_tail(hc, f, orbit)
-        if not ht.law_holds(m):
+        if not ht.law_holds():
             raise NotACocycleError("head/tail law fails around an orbit", orbit.sequences[0])
-        for t in orbit.sequences:
-            g_vals[out_index[drop_first(t)]] ^= hc.alg.from_parts(k - 1 + s, 0, ht.heads[t]).bits
+        for pos, head in zip(orbit.sequences, ht.heads):
+            g_vals[suffix[pos]] ^= hc.alg.from_parts(k - 1 + s, 0, head).bits
     g = Cochain(k - 1, s, tuple(g_vals))
     if hc.coboundary_of(g) != f:
         raise AssertionError("constructed primitive failed verification")
@@ -181,21 +160,33 @@ def bottom_cocycles(hc: HochschildComplex, k: int) -> int:
 # -- extension along a subring refinement ----------------------------------
 
 
-def _parents_and_section(old: Subring, new: Subring, x: int):
-    """Per new-block parent index, and the preferred child of each old block."""
+def _coarse_images(hc2: HochschildComplex, hc: HochschildComplex, k: int, keep=None) -> list[int]:
+    """Per length-k sequence of hc2, the position of its image in hc, or -1.
+
+    hc2's blocks refine hc's, and the image replaces each block by the coarse
+    block holding it.  It is -1 when the image is not admissible, or when the
+    sequence has a generator g with keep[g] false.  Built level by level: the
+    image of u is the child of the image of u[:-1] with the image of u[-1].
+    """
+    m = hc.m
     parent = []
-    for b2 in new.blocks:
-        for i, b in enumerate(old.blocks):
-            if b2 & b:
-                if b2 & ~b:
-                    raise ValueError("refinement does not respect the old blocks")
-                parent.append(i)
-                break
-    selected = []
-    for b in old.blocks:
-        inside, outside = b & x, b & ~x
-        selected.append(inside if inside and outside else b)
-    return parent, selected
+    for b2 in hc2.blocks:
+        i = next(i for i, b in enumerate(hc.blocks) if b2 & b)
+        if b2 & ~hc.blocks[i]:
+            raise ValueError("refinement does not respect the old blocks")
+        parent.append(m + i)
+    image = list(range(m)) + parent
+    if keep is not None:
+        image = [h if kept else -1 for h, kept in zip(image, keep)]
+    pos = [0]
+    for j in range(k):
+        up_last = hc.links(j).last
+        fine = hc2.links(j + 1)
+        pos = [
+            -1 if c < 0 or h < 0 or up_last[c] == h >= m else child_position(m, hc.nj, j, c, h)
+            for c, h in zip(map(pos.__getitem__, fine.prefix), map(image.__getitem__, fine.last))
+        ]
+    return pos
 
 
 def extend_cocycle(
@@ -215,8 +206,7 @@ def extend_cocycle(
         raise ValueError("extension operates on values in module degree 1")
     old = hc.subring if hc.subring is not None else Subring.full(alg.ring)
     alg.ring.check(x)
-    for i, t in enumerate(hc.sequences(f.k)):
-        bits = f.values[i]
+    for bits in f.values:
         if bits & ((1 << alg.v_dim) - 1):
             raise ValueError("free part present; strip it first")
         if (bits >> alg.v_dim) & ~x:
@@ -227,7 +217,7 @@ def extend_cocycle(
     if new == old:
         return hc, f
     hc2 = HochschildComplex(alg, new)
-    f2 = _transport(hc, hc2, old, new, x, f)
+    f2 = _transport(hc, hc2, x, f)
     if not hc2.is_cocycle(f2):
         raise AssertionError("extension failed the cocycle check")
     if restrict_cochain(hc2, hc, f2) != f:
@@ -235,50 +225,31 @@ def extend_cocycle(
     return hc2, f2
 
 
-def _transport(hc, hc2, old, new, x, f):
-    """Values through the section that prefers the branch where x is one."""
+def _transport(hc: HochschildComplex, hc2: HochschildComplex, x: int, f: Cochain) -> Cochain:
+    """Values through the section that prefers the branch where x is one.
+
+    A sequence of hc2 takes the value at its image when each of its atom
+    entries is the part of its coarse block inside x (the whole block when x
+    does not split it), and zero otherwise.
+    """
     m = hc.m
-    parent, selected = _parents_and_section(old, new, x)
-    index_old = hc.sequence_index(f.k)
-    vals = []
-    for t in hc2.sequences(f.k):
-        chosen = all(g < m or new.blocks[g - m] == selected[parent[g - m]] for g in t)
-        if not chosen:
-            vals.append(0)
-            continue
-        pre = tuple(g if g < m else m + parent[g - m] for g in t)
-        vals.append(f.values[index_old[pre]])
-    return Cochain(f.k, f.s, tuple(vals))
+    preferred = {b & x if b & x and b & ~x else b for b in hc.blocks}
+    keep = [g < m or hc2.blocks[g - m] in preferred for g in range(hc2.generator_count)]
+    images = _coarse_images(hc2, hc, f.k, keep)
+    return Cochain(f.k, f.s, tuple(f.values[c] if c >= 0 else 0 for c in images))
 
 
 def restrict_cochain(hc2: HochschildComplex, hc: HochschildComplex, g: Cochain) -> Cochain:
     """Pull a cochain back along the block-sum inclusion of coefficient algebras.
 
     Each coarse atom entry expands into the sum of its refined children; the
-    value at a coarse sequence is the sum over all expansion choices.
+    value at a coarse sequence is the sum of the values at the refined
+    sequences with that image.
     """
-    m = hc.m
-    old = hc.subring if hc.subring is not None else Subring.full(hc.alg.ring)
-    new = hc2.subring
-    children: list[list[int]] = [[] for _ in old.blocks]
-    for j2, b2 in enumerate(new.blocks):
-        for i, b in enumerate(old.blocks):
-            if b2 & b:
-                children[i].append(j2)
-                break
-    index_new = hc2.sequence_index(g.k)
-    vals = []
-    for t in hc.sequences(g.k):
-        acc = 0
-        choices: list[tuple[int, ...]] = [()]
-        for gidx in t:
-            if gidx < m:
-                choices = [c + (gidx,) for c in choices]
-            else:
-                choices = [c + (m + j2,) for c in choices for j2 in children[gidx - m]]
-        for u in choices:
-            acc ^= g.values[index_new[u]]
-        vals.append(acc)
+    vals = [0] * count_admissible(hc.m, hc.nj, g.k)
+    for u, c in enumerate(_coarse_images(hc2, hc, g.k)):
+        if c >= 0:
+            vals[c] ^= g.values[u]
     return Cochain(g.k, g.s, tuple(vals))
 
 
@@ -309,9 +280,9 @@ def extend_cocycle_split(
         part = Cochain(
             f.k, f.s, tuple(((v >> alg.v_dim) & pick) << alg.v_dim for v in f.values)
         )
-        split.append(_transport(hc, hc2, old, new, adjoined, part))
+        split.append(_transport(hc, hc2, adjoined, part))
     free_part = Cochain(f.k, f.s, tuple(v & v_mask for v in f.values))
-    lifted_free = _transport(hc, hc2, old, new, x, free_part)
+    lifted_free = _transport(hc, hc2, x, free_part)
     total = lifted_free
     for part in split:
         total = total + part

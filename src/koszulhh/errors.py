@@ -15,8 +15,11 @@ class CapExceeded(RuntimeError):
 class NotACocycleError(ValueError):
     """Input cochain violates a relation that only cocycles satisfy.
 
-    The offending relation (an admissible sequence or a bidegree) is kept on
-    the exception so callers can report it.
+    The offending relation is kept on the exception so callers can report it.
+    From the Koszul cochain code it is a sequence position in the lex order
+    of koszul.sequence_links, paired with the offending value when one value
+    fails, or None; from the dg algebra code it is the element that is not
+    closed.
     """
 
     def __init__(self, message: str, witness=None):

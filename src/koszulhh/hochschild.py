@@ -13,8 +13,7 @@ k = 7 runs in about 83 MB.  Coboundaries of single cochains are computed
 sequence by sequence without building the matrix.  The action of a
 generator or bar tensor factor on the module is tabulated from
 algebra.graded_multiply, so this module does not repeat the basis layout or
-the product.  Tuples and their positions (sequences, sequence_index) remain
-for the orbit and transport code in coboundary.
+the product.
 
 The coefficient algebra may be built on a subring of the module's Boolean
 ring: sequences then run over the subring's blocks, which act on the module
@@ -42,8 +41,8 @@ from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring, graded_multiply
 from .caps import bar_cap, default_cap
-from .gf2 import BitMatrix, EchelonBasis, echelon_rank, index_code, pair_components, sparse_rank
-from .koszul import SequenceLinks, admissible_tuples, capped_count, count_admissible, sequence_links
+from .gf2 import EchelonBasis, echelon_rank, index_code, pair_components, sparse_rank
+from .koszul import SequenceLinks, capped_count, count_admissible, sequence_links
 
 
 @dataclass(frozen=True)
@@ -151,18 +150,6 @@ class SparseDifferential:
     def n_rows(self) -> int:
         return len(self.first)
 
-    def to_bitmatrix(self) -> BitMatrix:
-        """Dense row bitmasks; only for small matrices."""
-        rows = []
-        for a, b in zip(self.first, self.second):
-            row = 0
-            if a >= 0:
-                row |= 1 << a
-            if b >= 0:
-                row |= 1 << b
-            rows.append(row)
-        return BitMatrix(rows, self.n_cols)
-
 
 def _action_rows(alg: ConnectedSumAlgebra, x: GradedElement, src_deg: int) -> list[int]:
     """Rows of multiplication by x, module piece src_deg -> src_deg + x.degree.
@@ -219,7 +206,6 @@ class HochschildComplex:
         self.m = alg.v_dim
         self.nj = len(self.blocks)
         self._rank_cache: dict = {}
-        self._index_cache: dict[int, dict] = {}
         self._bar_cache: dict = {}
 
     # -- coefficient generators ------------------------------------------
@@ -235,10 +221,6 @@ class HochschildComplex:
     def generator_element(self, g: int) -> GradedElement:
         """Generator g as a degree-1 element of the module algebra."""
         return self.alg.from_parts(1, 1 << g if g < self.m else 0, self.generator_mask(g))
-
-    def sequences(self, k: int) -> tuple[tuple[int, ...], ...]:
-        capped_count(self.m, self.nj, k, self.cap)
-        return admissible_tuples(self.m, self.nj, k)
 
     def links(self, k: int) -> SequenceLinks:
         """sequence_links of the length-k sequences, under the cap."""
@@ -384,13 +366,6 @@ class HochschildComplex:
                 values[c // dim] |= 1 << (c % dim)
         return Cochain(k, s, tuple(values))
 
-    def sequence_index(self, k: int) -> dict:
-        hit = self._index_cache.get(k)
-        if hit is None:
-            hit = {t: i for i, t in enumerate(self.sequences(k))}
-            self._index_cache[k] = hit
-        return hit
-
     # -- bar-complex oracle --------------------------------------------------
 
     def bar_oracle(self, k: int, s: int, max_internal_degree: int, cap: int | None = None) -> BarReport:
@@ -405,6 +380,8 @@ class HochschildComplex:
         workload fits under the cap; if that falls short of the request the
         first unreached degree is reported in skipped_from.
         """
+        if k < 0:
+            raise ValueError("negative cohomological degree")
         if max_internal_degree < 0:
             raise ValueError("negative internal degree")
         cap = bar_cap() if cap is None else cap

@@ -94,9 +94,7 @@ def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
     up = sequence_links(m, n, k - 1)
     after = [[h for h in gens if h != g or g < m] for g in gens]
     if k > 2:
-        # position of the first child of each length-(k-2) sequence
-        grand = sequence_links(m, n, k - 2)
-        start = list(accumulate((len(after[g]) for g in grand.last), initial=0))
+        start = _child_starts(m, n, k - 2)
     first, last, suffix, prefix = (array(code) for _ in range(4))
     for p, (g0, g1, r) in enumerate(zip(up.first, up.last, up.suffix)):
         kids = after[g1]
@@ -105,6 +103,26 @@ def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
         suffix.extend(kids if k == 2 else range(start[r], start[r] + len(kids)))
         prefix.extend(repeat(p, len(kids)))
     return SequenceLinks(first, last, suffix, prefix)
+
+
+@lru_cache(maxsize=128)
+def _child_starts(m: int, n: int, j: int) -> array:
+    """Position among the length-(j+1) sequences of each length-j sequence's first child."""
+    sizes = (m + n - (g >= m) for g in sequence_links(m, n, j).last)
+    return array(index_code(count_admissible(m, n, j + 1) + 1), accumulate(sizes, initial=0))
+
+
+def child_position(m: int, n: int, j: int, p: int, g: int) -> int:
+    """Position of p + (g,) among the length-(j+1) sequences, p a length-j position.
+
+    The children of p are contiguous and skip only the atom p ends in, so g
+    is their rank after that atom.  p + (g,) must be admissible.
+
+    >>> [child_position(0, 3, 1, 1, g) for g in (0, 2)]  # (1, 0), (1, 2)
+    [2, 3]
+    """
+    last = sequence_links(m, n, j).last[p]
+    return _child_starts(m, n, j)[p] + g - (m <= last < g)
 
 
 def capped_count(m: int, n: int, k: int, cap: int | None = None) -> int:

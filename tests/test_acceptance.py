@@ -131,7 +131,7 @@ def test_explicit_coboundary_solver():
                         g = solve_coboundary(hc, f)
                         assert hc.coboundary_of(g) == f
                         for orbit in orbits:
-                            assert head_tail(hc, f, orbit).law_holds(m)
+                            assert head_tail(hc, f, orbit).law_holds()
 
 
 def test_koszulity():

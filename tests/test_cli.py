@@ -10,6 +10,7 @@ from koszulhh import cli, koszul
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex
+from koszulhh.koszul import admissible_tuples
 from koszulhh.gf2 import BitVector
 from koszulhh.massey import dg_algebra_to_dict, from_connected_sum
 from koszulhh.massey import extend_with_acyclic_pairs
@@ -202,6 +203,12 @@ def test_bar_oracle_cap_truncates(capsys):
     assert rep["koszulHh"] == 3
 
 
+def test_bar_oracle_negative_degree_exits_2_in_one_line(capsys):
+    code, out, err = run(capsys, "bar-oracle", "--atoms", "2", "--k", "-1", "--s", "0")
+    assert code == 2 and out == ""
+    assert err == "error: negative cohomological degree\n"
+
+
 def test_solve_coboundary_random(capsys):
     code, rep = run_json(
         capsys, "solve-coboundary", "--atoms", "3", "--k", "3", "--s", "-1",
@@ -222,7 +229,7 @@ def test_solve_coboundary_random(capsys):
 
 def test_solve_coboundary_explicit_cochain(capsys):
     hc = HochschildComplex(ConnectedSumAlgebra(0, BooleanRing(3)))
-    index = hc.sequence_index(3)
+    index = {t: i for i, t in enumerate(admissible_tuples(0, 3, 3))}
     vals = [0] * len(index)
     vals[index[(0, 1, 0)]] = 0b001
     f = Cochain(3, -1, tuple(vals))
@@ -232,8 +239,9 @@ def test_solve_coboundary_explicit_cochain(capsys):
         "--cochain", text,
     )
     assert code == 0 and rep["verified"]
-    g_vals = [0] * len(hc.sequence_index(2))
-    g_vals[hc.sequence_index(2)[(1, 0)]] = 0b001
+    index = {t: i for i, t in enumerate(admissible_tuples(0, 3, 2))}
+    g_vals = [0] * len(index)
+    g_vals[index[(1, 0)]] = 0b001
     g = Cochain(2, -1, tuple(g_vals))
     assert rep["primitive"] == BitVector(hc.cochain_dim(2, -1), hc.cochain_to_bits(g)).to01()
 

@@ -1,4 +1,9 @@
-"""Tests for orbit mechanics, the coboundary solver, and cocycle extension."""
+"""Tests for orbit mechanics, the coboundary solver, and cocycle extension.
+
+The library works on sequence positions.  The tuple versions of the
+rotation, the orbits, the head/tail split, the transport and the
+restriction below are the earlier implementation, kept as references.
+"""
 
 import random
 
@@ -6,21 +11,18 @@ import pytest
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, Subring
 from koszulhh.coboundary import (
+    _transport,
     bottom_cocycles,
-    drop_first,
-    drop_last,
     extend_cocycle,
     extend_cocycle_split,
     head_tail,
-    is_stable,
     orbit_decomposition,
     restrict_cochain,
-    rotate_back,
-    rotate_forward,
     solve_coboundary,
 )
 from koszulhh.errors import NotACocycleError
 from koszulhh.hochschild import Cochain, HochschildComplex
+from koszulhh.koszul import admissible_tuples
 
 
 def complex_for(m, n):
@@ -32,10 +34,137 @@ def zero_cochain(hc, k, s):
     return hc.cochain_from_bits(k, s, 0)
 
 
+def tuples(hc, k):
+    return admissible_tuples(hc.m, hc.nj, k)
+
+
+def index(hc, k):
+    return {t: i for i, t in enumerate(tuples(hc, k))}
+
+
+# -- tuple references ------------------------------------------------------
+
+
+def rotate_forward(seq, m):
+    """Move the last entry to the front; stable sequences are fixed."""
+    if is_stable(seq, m):
+        return seq
+    return (seq[-1],) + seq[:-1]
+
+
+def rotate_back(seq, m):
+    """Inverse translation: move the first entry to the back."""
+    if is_stable(seq, m):
+        return seq
+    return seq[1:] + (seq[0],)
+
+
+def is_stable(seq, m):
+    return len(seq) >= 1 and seq[0] == seq[-1] and seq[0] >= m
+
+
+def drop_first(seq):
+    return seq[1:]
+
+
+def drop_last(seq):
+    return seq[:-1]
+
+
+def reference_orbits(hc, k):
+    """(sequences, stable, r_fixed) per orbit, each chained by rotate_forward."""
+    m = hc.m
+    seen = set()
+    orbits = []
+    for start in tuples(hc, k):
+        if start in seen:
+            continue
+        chain = [start]
+        seen.add(start)
+        cur = rotate_forward(start, m)
+        while cur != start:
+            chain.append(cur)
+            seen.add(cur)
+            cur = rotate_forward(cur, m)
+        stable = is_stable(start, m)
+        orbits.append((tuple(chain), stable, not stable and len(chain) == 1))
+    return orbits
+
+
+def reference_head_tail(hc, f, sequences, stable):
+    """Heads and tails keyed by tuple, for a cochain valued in degree >= 2."""
+    idx = index(hc, f.k)
+    heads, tails = {}, {}
+    for t in sequences:
+        val = f.values[idx[t]]
+        if stable:
+            heads[t] = tails[t] = val
+        else:
+            heads[t] = val & hc.generator_mask(t[0])
+            tails[t] = val & hc.generator_mask(t[-1])
+    return heads, tails
+
+
+def reference_parents_and_section(old, new, x):
+    parent = []
+    for b2 in new.blocks:
+        for i, b in enumerate(old.blocks):
+            if b2 & b:
+                parent.append(i)
+                break
+    selected = []
+    for b in old.blocks:
+        inside, outside = b & x, b & ~x
+        selected.append(inside if inside and outside else b)
+    return parent, selected
+
+
+def reference_transport(hc, hc2, old, new, x, f):
+    m = hc.m
+    parent, selected = reference_parents_and_section(old, new, x)
+    index_old = index(hc, f.k)
+    vals = []
+    for t in tuples(hc2, f.k):
+        chosen = all(g < m or new.blocks[g - m] == selected[parent[g - m]] for g in t)
+        if not chosen:
+            vals.append(0)
+            continue
+        pre = tuple(g if g < m else m + parent[g - m] for g in t)
+        vals.append(f.values[index_old[pre]])
+    return Cochain(f.k, f.s, tuple(vals))
+
+
+def reference_restrict(hc2, hc, g):
+    """Each coarse atom entry expands into the sum of its refined children."""
+    m = hc.m
+    old = hc.subring if hc.subring is not None else Subring.full(hc.alg.ring)
+    new = hc2.subring
+    children = [[] for _ in old.blocks]
+    for j2, b2 in enumerate(new.blocks):
+        for i, b in enumerate(old.blocks):
+            if b2 & b:
+                children[i].append(j2)
+                break
+    index_new = index(hc2, g.k)
+    vals = []
+    for t in tuples(hc, g.k):
+        acc = 0
+        choices = [()]
+        for gidx in t:
+            if gidx < m:
+                choices = [c + (gidx,) for c in choices]
+            else:
+                choices = [c + (m + j2,) for c in choices for j2 in children[gidx - m]]
+        for u in choices:
+            acc ^= g.values[index_new[u]]
+        vals.append(acc)
+    return Cochain(g.k, g.s, tuple(vals))
+
+
 def test_rotation_round_trip():
     hc = complex_for(1, 2)
     for k in (1, 2, 3, 4):
-        for seq in hc.sequences(k):
+        for seq in tuples(hc, k):
             assert rotate_back(rotate_forward(seq, 1), 1) == seq
             assert rotate_forward(rotate_back(seq, 1), 1) == seq
 
@@ -62,26 +191,43 @@ def test_stable_sequences_are_fixed():
 def test_drop_helpers():
     assert drop_first((3, 1, 2)) == (1, 2)
     assert drop_last((3, 1, 2)) == (3, 1)
+    # the truncation positions of sequence_links are the dropped tuples
+    hc = complex_for(1, 2)
+    for k in (1, 2, 3, 4):
+        links, below = hc.links(k), tuples(hc, k - 1)
+        for u, t in enumerate(tuples(hc, k)):
+            assert below[links.suffix[u]] == drop_first(t)
+            assert below[links.prefix[u]] == drop_last(t)
+
+
+# -- position versions -------------------------------------------------------
+
+
+def named(hc, k, orbit):
+    """The orbit's members as tuples."""
+    seqs = tuples(hc, k)
+    return tuple(seqs[p] for p in orbit.sequences)
 
 
 def test_orbit_decomposition_three_atoms():
     hc = complex_for(0, 3)
     orbits = orbit_decomposition(hc, 2)
-    found = {orbit.sequences for orbit in orbits}
+    found = {named(hc, 2, orbit) for orbit in orbits}
     assert found == {
         ((0, 1), (1, 0)),
         ((0, 2), (2, 0)),
         ((1, 2), (2, 1)),
     }
     assert all(not orbit.stable and not orbit.r_fixed for orbit in orbits)
-    by_start = {orbit.sequences[0]: orbit for orbit in orbits}
-    assert by_start[(0, 1)].truncation_set() == ((1,), (0,))
+    by_start = {named(hc, 2, orbit)[0]: orbit for orbit in orbits}
+    suffix, level1 = hc.links(2).suffix, tuples(hc, 1)
+    assert tuple(level1[suffix[p]] for p in by_start[(0, 1)].sequences) == ((1,), (0,))
 
 
 def test_orbit_decomposition_free_generator():
     # a constant free sequence is fixed by the rotation without being stable
     hc = complex_for(1, 1)
-    orbits = {orbit.sequences: orbit for orbit in orbit_decomposition(hc, 2)}
+    orbits = {named(hc, 2, orbit): orbit for orbit in orbit_decomposition(hc, 2)}
     assert set(orbits) == {((0, 0),), ((0, 1), (1, 0))}
     fixed = orbits[((0, 0),)]
     assert fixed.r_fixed and not fixed.stable
@@ -89,7 +235,7 @@ def test_orbit_decomposition_free_generator():
 
 def test_orbit_stable_singleton():
     hc = complex_for(0, 3)
-    orbits = {orbit.sequences: orbit for orbit in orbit_decomposition(hc, 3)}
+    orbits = {named(hc, 3, orbit): orbit for orbit in orbit_decomposition(hc, 3)}
     stable = orbits[((0, 1, 0),)]
     assert stable.stable and not stable.r_fixed
 
@@ -100,7 +246,30 @@ def test_orbits_partition_sequences():
         for k in (1, 2, 3, 4):
             orbits = orbit_decomposition(hc, k)
             seqs = [t for orbit in orbits for t in orbit.sequences]
-            assert len(seqs) == len(set(seqs)) == len(list(hc.sequences(k)))
+            assert len(seqs) == len(set(seqs)) == len(tuples(hc, k))
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 1), (1, 2), (2, 2)])
+def test_orbits_and_head_tails_match_the_tuple_reference(m, n):
+    hc = complex_for(m, n)
+    rng = random.Random(100 * m + n)
+    for k in range(1, 6):
+        orbits = orbit_decomposition(hc, k)
+        reference = reference_orbits(hc, k)
+        # same orbits in the same order; the positions walk each orbit
+        # backwards from its least member
+        assert [(named(hc, k, o), o.stable, o.r_fixed) for o in orbits] == [
+            ((chain[0],) + chain[:0:-1], stable, r_fixed) for chain, stable, r_fixed in reference
+        ]
+        for s in (2 - k, 3 - k):
+            f = hc.random_cocycle(k, s, rng)
+            for orbit in orbits:
+                ht = head_tail(hc, f, orbit)
+                heads, tails = reference_head_tail(hc, f, named(hc, k, orbit), orbit.stable)
+                assert ht.heads == tuple(heads[t] for t in named(hc, k, orbit))
+                assert ht.tails == tuple(tails[t] for t in named(hc, k, orbit))
+                assert ht.law_holds()
+                assert all(heads[rotate_forward(t, m)] == tails[t] for t in heads)
 
 
 def test_orbit_decomposition_rejects_zero_length():
@@ -111,45 +280,47 @@ def test_orbit_decomposition_rejects_zero_length():
 def test_head_tail_split():
     hc = complex_for(0, 3)
     rng = random.Random(7)
+    first, last = hc.links(3)[:2]
     for _ in range(10):
         f = hc.random_cocycle(3, -1, rng)
-        index = hc.sequence_index(3)
         for orbit in orbit_decomposition(hc, 3):
             ht = head_tail(hc, f, orbit)
-            assert ht.law_holds(0)
-            for t in orbit.sequences:
-                val = f.values[index[t]]
+            assert ht.law_holds()
+            for pos, head, tail in zip(orbit.sequences, ht.heads, ht.tails):
+                val = f.values[pos]
                 if orbit.stable:
-                    assert ht.heads[t] == ht.tails[t] == val
+                    assert head == tail == val
                 else:
-                    assert ht.heads[t] ^ ht.tails[t] == val
-                    assert ht.heads[t] & ~hc.generator_mask(t[0]) == 0
-                    assert ht.tails[t] & ~hc.generator_mask(t[-1]) == 0
+                    assert head ^ tail == val
+                    assert head & ~hc.generator_mask(first[pos]) == 0
+                    assert tail & ~hc.generator_mask(last[pos]) == 0
 
 
 def test_head_tail_rejects_escaping_value():
     # a value outside both end ideals cannot come from a cocycle
     hc = complex_for(0, 3)
-    index = hc.sequence_index(2)
-    vals = [0] * len(index)
-    vals[index[(0, 1)]] = 0b100
+    idx = index(hc, 2)
+    vals = [0] * len(idx)
+    vals[idx[(0, 1)]] = 0b100
     f = Cochain(2, 0, tuple(vals))
-    orbit = next(o for o in orbit_decomposition(hc, 2) if (0, 1) in o.sequences)
-    with pytest.raises(NotACocycleError):
+    orbit = next(o for o in orbit_decomposition(hc, 2) if idx[(0, 1)] in o.sequences)
+    with pytest.raises(NotACocycleError) as err:
         head_tail(hc, f, orbit)
+    assert err.value.witness == (idx[(0, 1)], 0b100)
 
 
 def test_solve_coboundary_documented_example():
     # the single-orbit cocycle supported on a stable sequence
     hc = complex_for(0, 3)
-    index = hc.sequence_index(3)
-    vals = [0] * len(index)
-    vals[index[(0, 1, 0)]] = 0b001
+    idx = index(hc, 3)
+    vals = [0] * len(idx)
+    vals[idx[(0, 1, 0)]] = 0b001
     f = Cochain(3, -1, tuple(vals))
     assert hc.is_cocycle(f)
     g = solve_coboundary(hc, f)
-    expected = [0] * len(hc.sequence_index(2))
-    expected[hc.sequence_index(2)[(1, 0)]] = 0b001
+    idx2 = index(hc, 2)
+    expected = [0] * len(idx2)
+    expected[idx2[(1, 0)]] = 0b001
     assert g == Cochain(2, -1, tuple(expected))
     assert hc.coboundary_of(g) == f
 
@@ -239,7 +410,7 @@ def test_extend_cocycle_strict_errors():
         extend_cocycle(hc, ring.atom(0), zero_cochain(hc, 2, 0))
 
     hc_free = HochschildComplex(ConnectedSumAlgebra(1, BooleanRing(1)))
-    vals = [0] * len(hc_free.sequence_index(2))
+    vals = [0] * len(tuples(hc_free, 2))
     vals[0] = 0b1
     with pytest.raises(ValueError):
         extend_cocycle(hc_free, 0b1, Cochain(2, -1, tuple(vals)))
@@ -247,8 +418,9 @@ def test_extend_cocycle_strict_errors():
     coarse = HochschildComplex(
         ConnectedSumAlgebra(0, ring), Subring(ring, ((0b011), (0b100)))
     )
-    vals = [0] * len(coarse.sequence_index(2))
-    vals[coarse.sequence_index(2)[(0, 1)]] = 0b10
+    idx = index(coarse, 2)
+    vals = [0] * len(idx)
+    vals[idx[(0, 1)]] = 0b10
     with pytest.raises(ValueError):
         extend_cocycle(coarse, ring.atom(0), Cochain(2, -1, tuple(vals)))
 
@@ -291,3 +463,39 @@ def test_extend_split_tower():
             assert hc2.is_cocycle(f2)
             assert restrict_cochain(hc2, hc1, f2) == f1
             assert restrict_cochain(hc1, hc0, f1) == f0
+
+
+def _subring(ring, blocks):
+    return Subring(ring, [sum(ring.atom(a) for a in b) for b in blocks])
+
+
+# (v_dim, atoms, coarse blocks, adjoined atoms): the refinement adjoins the
+# union of the adjoined atoms to the coarse subring
+REFINEMENTS = [
+    (0, 3, ((0, 1, 2),), (0, 1)),
+    (1, 3, ((0, 1), (2,)), (0,)),
+    (2, 4, ((0, 1), (2, 3)), (1, 2)),
+    (1, 2, ((0, 1),), (1,)),
+]
+
+
+@pytest.mark.parametrize("m, n, coarse_blocks, adjoined", REFINEMENTS)
+def test_restrict_and_transport_match_the_tuple_reference(m, n, coarse_blocks, adjoined):
+    ring = BooleanRing(n)
+    alg = ConnectedSumAlgebra(m, ring)
+    old = _subring(ring, coarse_blocks)
+    x = sum(ring.atom(a) for a in adjoined)
+    new = old.adjoin(x)
+    assert new != old
+    hc, hc2 = HochschildComplex(alg, old), HochschildComplex(alg, new)
+    rng = random.Random(10 * m + n)
+    for k in range(1, 5):
+        for s in (-k, 1 - k, 2 - k):
+            for _ in range(3):
+                # random cochains, not cocycles
+                g = hc2.cochain_from_bits(k, s, rng.getrandbits(hc2.cochain_dim(k, s)))
+                assert restrict_cochain(hc2, hc, g) == reference_restrict(hc2, hc, g)
+                f = hc.cochain_from_bits(k, s, rng.getrandbits(hc.cochain_dim(k, s)))
+                for branch in (x, ring.complement(x)):
+                    expected = reference_transport(hc, hc2, old, new, branch, f)
+                    assert _transport(hc, hc2, branch, f) == expected

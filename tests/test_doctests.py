@@ -1,4 +1,4 @@
-"""Every docstring example in the package runs and holds."""
+"""Every docstring example in the package runs and holds, and every export resolves."""
 
 import doctest
 import importlib
@@ -20,3 +20,9 @@ def test_docstring_examples(name):
 @pytest.mark.parametrize("name", ["koszulhh.gf2", "koszulhh.koszul"])
 def test_the_examples_are_found(name):
     assert doctest.testmod(importlib.import_module(name)).attempted > 0
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in koszulhh.__all__ if not hasattr(koszulhh, name)]
+    assert missing == []
+    assert len(set(koszulhh.__all__)) == len(koszulhh.__all__)
