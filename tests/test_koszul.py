@@ -17,6 +17,7 @@ from koszulhh.koszul import (
     admissible_in_generic_span,
     admissible_sequences,
     admissible_tuples,
+    child_position,
     count_admissible,
     is_admissible,
     koszul_space_generic,
@@ -51,6 +52,17 @@ def test_admissible_tuples_match_brute_force():
             got = admissible_tuples(m, n, k)
             assert got == brute_force_admissible(m, n, k)
             assert len(got) == count_admissible(m, n, k)
+
+
+def test_child_position_matches_the_tuple_order():
+    for m, n in [(0, 2), (1, 1), (0, 3), (1, 2), (2, 1), (2, 2)]:
+        for j in range(0, 5):
+            below = brute_force_admissible(m, n, j)
+            index = {t: i for i, t in enumerate(brute_force_admissible(m, n, j + 1))}
+            for p, t in enumerate(below):
+                for g in range(m + n):
+                    if is_admissible(t + (g,), m):
+                        assert child_position(m, n, j, p, g) == index[t + (g,)]
 
 
 @settings(max_examples=80, deadline=None)
