@@ -657,8 +657,8 @@ def lift_cocycle(q: DgMap, target_cocycle: GradedElement) -> GradedElement:
             raise ValueError("correction does not lift; the map is not surjective")
         a_bits ^= src.diffs[d - 1].mul_vec(pre.bits)
     lifted = GradedElement(d, a_bits)
-    assert src.is_cocycle(lifted)
-    assert q.apply(lifted).bits == target_cocycle.bits
+    if not src.is_cocycle(lifted) or q.apply(lifted).bits != target_cocycle.bits:
+        raise AssertionError("lifted cocycle failed verification")
     return lifted
 
 
@@ -685,8 +685,8 @@ def lift_coboundary(
     residue = target_primitive ^ q.apply(first)
     correction = lift_cocycle(q, residue)
     out = first ^ correction
-    assert src.diff(out).bits == source_boundary.bits
-    assert q.apply(out).bits == target_primitive.bits
+    if src.diff(out).bits != source_boundary.bits or q.apply(out).bits != target_primitive.bits:
+        raise AssertionError("lifted primitive failed verification")
     return out
 
 
@@ -766,7 +766,10 @@ def dg_algebra_from_dict(data: dict) -> DgAlgebra:
             mat = BitMatrix.zeros(dims[d + 1], dims[d])
         diffs.append(mat)
     mult = {}
-    for key, val in data.get("multiplication", {}).items():
+    table = data.get("multiplication", {})
+    if not isinstance(table, dict):
+        raise ValueError("multiplication must be a JSON object")
+    for key, val in table.items():
         d1, i1, d2, i2 = (int(x) for x in key.split(","))
         mult[(d1, i1, d2, i2)] = BitVector.from01(val).bits
     unit = BitVector.from01(data.get("unit", "1")).bits

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from koszulhh import cli, koszul
+from koszulhh import cli, coboundary, koszul
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex
@@ -90,6 +90,32 @@ def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):
     code, out, err = run(capsys, "hh-grid", "--atoms", "3")
     assert code == 3 and out == ""
     assert err.startswith("out of memory:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve-coboundary", "--atoms", "3", "--k", "3", "--s", "-1", "--random", "--seed", "5"),
+        *(
+            ("extend-cocycle", "--v-dim", "1", "--atoms", "3", "--blocks", "x1+x2,x3",
+             "--adjoin", "x1", "--k", "3", "--mode", mode, "--random", "--seed", "3")
+            for mode in ("split", "branch")
+        ),
+    ],
+)
+def test_failed_library_check_exits_1_without_traceback(capsys, monkeypatch, argv):
+    # the primitive comes out zero, and each restriction has its first value changed
+    restrict = coboundary.restrict_cochain
+
+    def wrong_restriction(hc2, hc, g):
+        r = restrict(hc2, hc, g)
+        return Cochain(r.k, r.s, (r.values[0] ^ 1,) + r.values[1:])
+
+    monkeypatch.setattr(coboundary, "orbit_decomposition", lambda hc, k: [])
+    monkeypatch.setattr(coboundary, "restrict_cochain", wrong_restriction)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("verification failed:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("cap", ["0", "-5", "ten"])
@@ -350,7 +376,12 @@ def test_massey_usage_errors(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "content, message",
-    [(None, "error: unusable dg algebra file: "), ("[1, 2]", "error: bad dg algebra file: expected a JSON object")],
+    [
+        (None, "error: unusable dg algebra file: "),
+        ("[1, 2]", "error: bad dg algebra file: expected a JSON object"),
+        ('{"dims": [1, 1], "differentials": [["0"]], "multiplication": []}',
+         "error: bad dg algebra file: multiplication must be a JSON object"),
+    ],
 )
 def test_massey_dg_file_errors_exit_2_in_one_line(capsys, tmp_path, content, message):
     path = tmp_path / "dg.json"
@@ -413,6 +444,11 @@ def test_replay_usage_errors(capsys, tmp_path):
     loop.write_text(json.dumps({"manifest": {"command": "replay", "parameters": {}}}))
     code, out, err = run(capsys, "replay", "--manifest", str(loop))
     assert code == 2 and "cannot replay command 'replay'" in err
+    for content in ([1], {"manifest": {"command": "hh-grid", "parameters": {}}}):
+        loop.write_text(json.dumps(content))
+        code, out, err = run(capsys, "replay", "--manifest", str(loop))
+        assert code == 2 and out == ""
+        assert err.startswith("error: unusable report file: ") and err.count("\n") == 1
 
 
 def test_version_and_missing_subcommand(capsys):

@@ -447,6 +447,31 @@ def test_extend_split_rejects_non_cocycle():
         extend_cocycle_split(hc, ring.atom(0), bad)
 
 
+def test_extend_split_rejects_values_outside_module_degree_1():
+    ring = BooleanRing(3)
+    hc = HochschildComplex(ConnectedSumAlgebra(1, ring), Subring(ring, [0b011, 0b100]))
+    f = hc.random_cocycle(3, 0, random.Random(4))
+    with pytest.raises(ValueError, match="module degree 1"):
+        extend_cocycle_split(hc, ring.atom(0), f)
+
+
+def test_extend_cocycle_matches_the_tuple_reference_on_multiples_of_x():
+    ring = BooleanRing(3)
+    old = Subring(ring, [0b011, 0b100])
+    x = ring.atom(0)
+    new = old.adjoin(x)
+    alg = ConnectedSumAlgebra(1, ring)
+    hc, hc2 = HochschildComplex(alg, old), HochschildComplex(alg, new)
+    rng = random.Random(12)
+    for k in (2, 3, 4):
+        for _ in range(5):
+            f = hc.random_cocycle(k, 1 - k, rng)
+            f = Cochain(k, 1 - k, tuple(((v >> 1) & x) << 1 for v in f.values))
+            got_hc, g = extend_cocycle(hc, x, f)
+            assert got_hc.subring == new
+            assert g == reference_transport(hc, hc2, old, new, x, f)
+
+
 def test_extend_split_tower():
     # refine twice and restrict back through each stage
     ring = BooleanRing(3)

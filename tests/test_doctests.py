@@ -1,5 +1,7 @@
-"""Every docstring example in the package runs and holds, and every export resolves."""
+"""Every docstring example in the package runs and holds, every export
+resolves, and no check is an assert statement (``python -O`` drops those)."""
 
+import ast
 import doctest
 import importlib
 import pkgutil
@@ -26,3 +28,11 @@ def test_every_exported_name_resolves():
     missing = [name for name in koszulhh.__all__ if not hasattr(koszulhh, name)]
     assert missing == []
     assert len(set(koszulhh.__all__)) == len(koszulhh.__all__)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_assert_statements(name):
+    with open(importlib.import_module(name).__file__) as fh:
+        tree = ast.parse(fh.read())
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert lines == []
