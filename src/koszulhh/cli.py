@@ -395,6 +395,34 @@ def cmd_massey(args) -> tuple[dict, int]:
     return report, 0 if zero else 1
 
 
+def _replay_args(parser: argparse.ArgumentParser, params: dict) -> argparse.Namespace:
+    """Parse stored parameters with their command's own subparser; a missing
+    field, a rejected value or one that parses differently is unusable."""
+
+    def reject(message: str):
+        raise UsageError(f"unusable report file: {message}")
+
+    parser.error = reject
+    fields = {a.dest: a.option_strings[0] for a in parser._actions if a.dest not in ("help", "out")}
+    if params.keys() - fields.keys():
+        reject(f"no such parameter {sorted(params.keys() - fields.keys())[0]}")
+    argv = []
+    for dest, opt in fields.items():
+        if dest not in params:
+            reject(f"parameters lack {dest}")
+        value = params[dest]
+        if value is True:
+            argv.append(opt)
+        elif value is not None and value is not False:
+            argv.append(f"{opt}={value}")
+    args = parser.parse_args(argv)
+    for dest in fields:
+        value, parsed = params[dest], getattr(args, dest)
+        if type(parsed) is not type(value) or parsed != value:
+            reject(f"parameter {dest} is {value!r}, which parses as {parsed!r}")
+    return args
+
+
 def cmd_replay(args) -> tuple[dict, int]:
     try:
         with open(args.manifest) as fh:
@@ -402,16 +430,14 @@ def cmd_replay(args) -> tuple[dict, int]:
         manifest = stored["manifest"]
         command = manifest["command"]
         params = dict(manifest["parameters"])
-        handler = HANDLERS.get(command)
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"unusable report file: {e}") from None
-    if handler is None or command == "replay":
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    if command not in sub.choices or command == "replay":
         raise UsageError(f"cannot replay command {command!r}")
-    missing = _recorded_fields(command) - params.keys()
-    if missing:
-        raise UsageError(f"unusable report file: parameters lack {', '.join(sorted(missing))}")
-    params["command"] = command
-    rerun, _ = handler(argparse.Namespace(**params))
+    rerun_args = _replay_args(sub.choices[command], params)
+    rerun_args.command = command
+    rerun, _ = rerun_args.func(rerun_args)
 
     def strip(d: dict) -> dict:
         # timings and the bar oracle's block shape describe the run, not its result
@@ -428,18 +454,6 @@ def cmd_replay(args) -> tuple[dict, int]:
         "match": match,
     }
     return report, 0 if match else 1
-
-
-HANDLERS = {
-    "hh-grid": cmd_hh_grid,
-    "kadeishvili": cmd_kadeishvili,
-    "koszul-verify": cmd_koszul_verify,
-    "bar-oracle": cmd_bar_oracle,
-    "solve-coboundary": cmd_solve_coboundary,
-    "extend-cocycle": cmd_extend_cocycle,
-    "massey": cmd_massey,
-    "replay": cmd_replay,
-}
 
 
 # -- parser ----------------------------------------------------------------
@@ -570,12 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     return parser
-
-
-def _recorded_fields(command: str) -> set[str]:
-    """The parameters that _manifest records for a run of this subcommand."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest for a in sub.choices[command]._actions} - {"help", "out"}
 
 
 def _render(report: dict, args) -> str:

@@ -404,6 +404,14 @@ class DefiningSystem:
                     out.append((i, i + span))
         return out
 
+    def relation(self, i: int, j: int) -> int:
+        """Bits of the sum of ``entry(i, t) * entry(t, j)`` over ``i < t < j``:
+        what ``diff(entry(i, j))`` must be, and at the corner the product."""
+        bits = 0
+        for t in range(i + 1, j):
+            bits ^= self.algebra.product(self.entries[(i, t)], self.entries[(t, j)]).bits
+        return bits
+
     def validate(self) -> None:
         """Degree bookkeeping plus every defining relation; raise on failure."""
         if self.n < 2:
@@ -424,10 +432,7 @@ class DefiningSystem:
                     relation=(i, j),
                 )
         for i, j in self.slots():
-            rhs = GradedElement(self.expected_degree(i, j) + 1, 0)
-            for t in range(i + 1, j):
-                rhs ^= alg.product(self.entries[(i, t)], self.entries[(t, j)])
-            if alg.diff(self.entries[(i, j)]).bits != rhs.bits:
+            if alg.diff(self.entries[(i, j)]).bits != self.relation(i, j):
                 raise InvalidDefiningSystemError(
                     f"defining relation fails at ({i}, {j})", relation=(i, j)
                 )
@@ -438,14 +443,26 @@ def massey_product(ds: DefiningSystem) -> CohomologyClass:
     ds.validate()
     n = ds.n
     alg = ds.algebra
-    out = GradedElement(ds.expected_degree(1, n + 1) + 1, 0)
-    for t in range(2, n + 1):
-        out ^= alg.product(ds.entry(1, t), ds.entry(t, n + 1))
+    out = GradedElement(ds.expected_degree(1, n + 1) + 1, ds.relation(1, n + 1))
     if not alg.is_cocycle(out):
         raise InvalidDefiningSystemError(
             "product of a defining system failed to be closed", relation=(1, n + 1)
         )
     return CohomologyClass(alg, out)
+
+
+def _with_representatives(
+    alg: DgAlgebra, classes: Sequence[CohomologyClass]
+) -> DefiningSystem:
+    """A defining system whose adjacent entries are the given representatives."""
+    if len(classes) < 2:
+        raise InvalidDefiningSystemError("need at least two input classes", relation=None)
+    if any(c.algebra is not alg for c in classes):
+        raise ValueError("class lives in a different algebra")
+    ds = DefiningSystem(alg, tuple(c.degree for c in classes))
+    for i, c in enumerate(classes, 1):
+        ds.entries[(i, i + 1)] = c.element
+    return ds
 
 
 def trivial_defining_system(
@@ -458,23 +475,13 @@ def trivial_defining_system(
     """
     if not alg.has_zero_differential():
         raise ValueError("trivial defining systems need a zero differential")
-    if len(classes) < 2:
-        raise InvalidDefiningSystemError("need at least two input classes", relation=None)
-    for c in classes:
-        if c.algebra is not alg:
-            raise ValueError("class lives in a different algebra")
-    degrees = tuple(c.degree for c in classes)
-    n = len(classes)
-    for i in range(1, n):
-        prod = alg.product(classes[i - 1].element, classes[i].element)
-        if prod.bits:
+    ds = _with_representatives(alg, classes)
+    for i in range(1, ds.n):
+        if ds.relation(i, i + 2):
             raise InvalidDefiningSystemError(
                 f"neighbouring product of inputs {i} and {i + 1} is nonzero",
                 relation=(i, i + 2),
             )
-    ds = DefiningSystem(alg, degrees)
-    for i in range(1, n + 1):
-        ds.entries[(i, i + 1)] = classes[i - 1].element
     for i, j in ds.slots():
         if j - i >= 2:
             ds.entries[(i, j)] = GradedElement(ds.expected_degree(i, j), 0)
@@ -486,31 +493,22 @@ def massey_product_set(
 ) -> set[int]:
     """Canonical representatives of every attainable product class.
 
-    Enumerates all defining systems: adjacent entries range over each class's
-    full set of representatives, interior entries over all solutions of their
-    defining relation.  The total number of systems is estimated up front and
-    guarded by ``cap`` (``MASSEY_CAP`` when None).  A class is represented by
-    its remainder modulo the coboundaries, reduced on lowest-bit pivots.
+    The set depends only on the classes, so the adjacent entries are the
+    given representatives; each interior entry is one preimage of its
+    relation plus any sum of cocycles.  The 2**(interior cocycle dimensions)
+    systems are checked against ``cap`` (``MASSEY_CAP`` when None) first.  A
+    class is its remainder modulo the coboundaries on lowest-bit pivots.
+
+    >>> from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
+    >>> H = from_connected_sum(ConnectedSumAlgebra(0, BooleanRing(3)), 4)
+    >>> x1, x2, x3 = (CohomologyClass(H, H.element(1, 1 << i)) for i in range(3))
+    >>> sorted(massey_product_set(H, [x1, x2, x3]))
+    [0, 1, 4, 5]
     """
-    n = len(classes)
-    if n < 2:
-        raise InvalidDefiningSystemError("need at least two input classes", relation=None)
-    degrees = tuple(c.degree for c in classes)
-    proto = DefiningSystem(alg, degrees)
-    slots = proto.slots()
-
-    def boundaries(d: int) -> EchelonBasis:
-        basis = EchelonBasis(lowest=True)
-        if 1 <= d <= alg.top:
-            basis.extend(alg.diffs[d - 1].transpose().rows)
-        return basis
-
-    # what each slot may add to its base: boundaries next to a class,
-    # cocycles inside; built once, in a fixed order
-    spans = []
-    for i, j in slots:
-        d = proto.expected_degree(i, j)
-        spans.append(list(boundaries(d).rows.values()) if j - i == 1 else alg.cocycle_basis(d))
+    ds = _with_representatives(alg, classes)
+    n = ds.n
+    slots = [(i, j) for i, j in ds.slots() if j - i > 1]
+    spans = [alg.cocycle_basis(ds.expected_degree(i, j)) for i, j in slots]
     freedom = sum(len(span) for span in spans)
     total = 1 << freedom
     cap = MASSEY_CAP if cap is None else cap
@@ -520,49 +518,33 @@ def massey_product_set(
             needed=total,
             cap=cap,
         )
+    # every sum of each interior slot's cocycles, built once
+    offsets = []
+    for span in spans:
+        sums = [0]
+        for z in span:
+            sums += [s ^ z for s in sums]
+        offsets.append(sums)
 
-    out_boundaries = boundaries(proto.expected_degree(1, n + 1) + 1)
+    boundaries = EchelonBasis(lowest=True)
+    d = ds.expected_degree(1, n + 1) + 1
+    if 1 <= d <= alg.top:
+        boundaries.extend(alg.diffs[d - 1].transpose().rows)
     results: set[int] = set()
 
-    def fill(pos: int, entries: dict[tuple[int, int], GradedElement]) -> None:
+    def fill(pos: int) -> None:
         if pos == len(slots):
-            out = 0
-            for t in range(2, n + 1):
-                out ^= alg.product(entries[(1, t)], entries[(t, n + 1)]).bits
-            results.add(out_boundaries.reduce(out))
+            results.add(boundaries.reduce(ds.relation(1, n + 1)))
             return
         i, j = slots[pos]
-        d = proto.expected_degree(i, j)
-        if j - i == 1:
-            base = classes[i - 1].element.bits
-        else:
-            rhs = 0
-            for t in range(i + 1, j):
-                rhs ^= alg.product(entries[(i, t)], entries[(t, j)]).bits
-            if 0 <= d < alg.top:
-                sol = alg.diffs[d].solve(rhs)
-                if sol is None:
-                    return
-                base = sol.bits
-            else:
-                if rhs:
-                    return
-                base = 0
-        span = spans[pos]
-        for mask in range(1 << len(span)):
-            bits = base
-            m = mask
-            idx = 0
-            while m:
-                if m & 1:
-                    bits ^= span[idx]
-                m >>= 1
-                idx += 1
-            entries[(i, j)] = GradedElement(d, bits)
-            fill(pos + 1, entries)
-        entries.pop((i, j), None)
+        d = ds.expected_degree(i, j)
+        base = alg.coboundary_preimage(GradedElement(d + 1, ds.relation(i, j)))
+        if base is not None:
+            for offset in offsets[pos]:
+                ds.entries[(i, j)] = GradedElement(d, base.bits ^ offset)
+                fill(pos + 1)
 
-    fill(0, {})
+    fill(0)
     return results
 
 
@@ -583,6 +565,10 @@ def strong_massey_check(
     Tuples are built left to right: each next element is drawn from the
     kernel of multiplication by its predecessor, so every sampled tuple
     admits the trivial defining system by construction.
+
+    With a zero differential only the trivial defining system is evaluated,
+    whose every term is a vanishing neighbouring product or has a zero
+    interior entry: the check cannot fail.
     """
     if not alg.has_zero_differential():
         raise ValueError("the strong vanishing check needs a zero differential")
@@ -721,10 +707,7 @@ def lift_defining_system(
     for i, j in lifted.slots():
         if j - i == 1:
             continue
-        d = lifted.expected_degree(i, j)
-        boundary = GradedElement(d + 1, 0)
-        for t in range(i + 1, j):
-            boundary ^= src.product(lifted.entry(i, t), lifted.entry(t, j))
+        boundary = GradedElement(lifted.expected_degree(i, j) + 1, lifted.relation(i, j))
         if not src.is_cocycle(boundary):
             raise InvalidDefiningSystemError(
                 f"lifted relations do not close at ({i}, {j})", relation=(i, j)

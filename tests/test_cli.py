@@ -346,17 +346,26 @@ def test_massey_dg_file_and_cap(capsys, tmp_path):
     ext, _ = extend_with_acyclic_pairs(base, [2, 3])
     path = tmp_path / "dg.json"
     path.write_text(json.dumps(dg_algebra_to_dict(ext)))
-    bits = BitVector(ext.dim(3), ext.cocycle_basis(3)[0]).to01()
+    # two interior slots of degree 1, each free over three cocycles
+    classes = "1:010,1:001,1:010"
     code, rep = run_json(
-        capsys, "massey", "--dg-file", str(path),
-        "--classes", f"3:{bits},3:{bits}", "--enumerate",
+        capsys, "massey", "--dg-file", str(path), "--classes", classes, "--enumerate",
     )
     assert code == 0 and rep["algebra"] == {"dgDims": [1, 3, 3, 4, 3, 2]}
     code, out, err = run(
         capsys, "massey", "--dg-file", str(path),
-        "--classes", f"3:{bits},3:{bits}", "--enumerate", "--cap", "2",
+        "--classes", classes, "--enumerate", "--cap", "2",
     )
-    assert code == 3 and "cap exceeded: enumerating 2**2 defining systems" in err
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: enumerating 2**6 defining systems exceeds the cap\n"
+    # the representatives' boundaries are not enumerated: no interior slot,
+    # one system; the product lands above the truncation, in a 0-bit degree
+    bits = BitVector(ext.dim(3), ext.cocycle_basis(3)[0]).to01()
+    code, rep = run_json(
+        capsys, "massey", "--dg-file", str(path),
+        "--classes", f"3:{bits},3:{bits}", "--enumerate", "--cap", "1",
+    )
+    assert code == 0 and rep["classSet"] == [""] and rep["containsZero"]
 
 
 def test_massey_usage_errors(capsys, tmp_path):
@@ -444,7 +453,26 @@ def test_replay_usage_errors(capsys, tmp_path):
     loop.write_text(json.dumps({"manifest": {"command": "replay", "parameters": {}}}))
     code, out, err = run(capsys, "replay", "--manifest", str(loop))
     assert code == 2 and "cannot replay command 'replay'" in err
-    for content in ([1], {"manifest": {"command": "hh-grid", "parameters": {}}}):
+    # hand-edited reports: a value of the wrong type, a null where the option
+    # has a default, and a parameter the command does not have
+    grid = tmp_path / "grid.json"
+    run(capsys, "hh-grid", "--atoms", "2", "--k-max", "2", "--out", str(grid))
+    wrong_type = json.loads(grid.read_text())
+    wrong_type["manifest"]["parameters"]["k_max"] = "2"
+    product = tmp_path / "massey.json"
+    run(capsys, "massey", "--atoms", "3", "--top", "4", "--classes", "1:100,1:010",
+        "--out", str(product))
+    null_top = json.loads(product.read_text())
+    null_top["manifest"]["parameters"]["top"] = None
+    unknown = json.loads(grid.read_text())
+    unknown["manifest"]["parameters"]["depth"] = 3
+    for content in (
+        [1],
+        {"manifest": {"command": "hh-grid", "parameters": {}}},
+        wrong_type,
+        null_top,
+        unknown,
+    ):
         loop.write_text(json.dumps(content))
         code, out, err = run(capsys, "replay", "--manifest", str(loop))
         assert code == 2 and out == ""

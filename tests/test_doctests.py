@@ -19,7 +19,7 @@ def test_docstring_examples(name):
     assert result.failed == 0
 
 
-@pytest.mark.parametrize("name", ["koszulhh.gf2", "koszulhh.koszul"])
+@pytest.mark.parametrize("name", ["koszulhh.gf2", "koszulhh.koszul", "koszulhh.massey"])
 def test_the_examples_are_found(name):
     assert doctest.testmod(importlib.import_module(name)).attempted > 0
 

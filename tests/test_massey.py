@@ -6,8 +6,9 @@ import random
 import pytest
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, GradedElement
+from koszulhh.caps import MASSEY_CAP
 from koszulhh.errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
-from koszulhh.gf2 import BitMatrix
+from koszulhh.gf2 import BitMatrix, EchelonBasis
 from koszulhh.massey import (
     CohomologyClass,
     DefiningSystem,
@@ -203,10 +204,117 @@ def test_massey_product_set_enumerates_all_systems():
 
 def test_massey_product_set_cap():
     base, ext, proj = fibration(1, 2, 5, [2, 3])
-    c = CohomologyClass(ext, ext.element(3, ext.cocycle_basis(3)[0]))
+    # two interior slots of degree 1, each free over three cocycles
+    classes = [CohomologyClass(ext, ext.element(1, bits)) for bits in (0b010, 0b100, 0b010)]
     with pytest.raises(CapExceeded) as exc:
-        massey_product_set(ext, [c, c], cap=2)
-    assert exc.value.needed == 4 and exc.value.cap == 2
+        massey_product_set(ext, classes, cap=2)
+    assert exc.value.needed == 64 and exc.value.cap == 2
+    assert "2**6" in str(exc.value)
+    assert massey_product_set(ext, classes, cap=64) == reference_product_set(ext, classes)
+
+
+def test_massey_product_set_fixes_the_representatives():
+    # the boundaries next to a class are not enumerated: no interior slot,
+    # so one system, where the full enumeration needs four
+    base, ext, proj = fibration(1, 2, 5, [2, 3])
+    c = CohomologyClass(ext, ext.element(3, ext.cocycle_basis(3)[0]))
+    assert massey_product_set(ext, [c, c], cap=1) == {0}
+    with pytest.raises(CapExceeded) as exc:
+        reference_product_set(ext, [c, c], cap=1)
+    assert exc.value.needed == 4
+
+
+def test_massey_product_set_rejects_classes_of_another_algebra():
+    H = zero_diff_algebra(0, 3, 4)
+    ext, _ = extend_with_acyclic_pairs(H, [1, 2])
+    classes = [atom_class(H, 0, i) for i in (0, 1, 2)]
+    with pytest.raises(ValueError, match="class lives in a different algebra"):
+        massey_product_set(ext, classes)
+
+
+def reference_product_set(alg, classes, cap=MASSEY_CAP):
+    """Brute force over every defining system, representatives included.
+
+    Adjacent entries range over each class plus any coboundary, interior
+    entries over every solution of their relation; the products are summed
+    here rather than through ``DefiningSystem``.
+    """
+    n = len(classes)
+    proto = DefiningSystem(alg, tuple(c.degree for c in classes))
+    slots = proto.slots()
+
+    def boundaries(d):
+        basis = EchelonBasis(lowest=True)
+        if 1 <= d <= alg.top:
+            basis.extend(alg.diffs[d - 1].transpose().rows)
+        return basis
+
+    spans = []
+    for i, j in slots:
+        d = proto.expected_degree(i, j)
+        spans.append(list(boundaries(d).rows.values()) if j - i == 1 else alg.cocycle_basis(d))
+    total = 1 << sum(len(span) for span in spans)
+    if total > cap:
+        raise CapExceeded("reference enumeration exceeds the cap", needed=total, cap=cap)
+    out_boundaries = boundaries(proto.expected_degree(1, n + 1) + 1)
+    results = set()
+
+    def fill(pos, entries):
+        if pos == len(slots):
+            out = 0
+            for t in range(2, n + 1):
+                out ^= alg.product(entries[(1, t)], entries[(t, n + 1)]).bits
+            results.add(out_boundaries.reduce(out))
+            return
+        i, j = slots[pos]
+        d = proto.expected_degree(i, j)
+        if j - i == 1:
+            base = classes[i - 1].element.bits
+        else:
+            rhs = 0
+            for t in range(i + 1, j):
+                rhs ^= alg.product(entries[(i, t)], entries[(t, j)]).bits
+            if 0 <= d < alg.top:
+                sol = alg.diffs[d].solve(rhs)
+                if sol is None:
+                    return
+                base = sol.bits
+            elif rhs:
+                return
+            else:
+                base = 0
+        span = spans[pos]
+        for mask in range(1 << len(span)):
+            bits = base
+            for idx, z in enumerate(span):
+                if (mask >> idx) & 1:
+                    bits ^= z
+            entries[(i, j)] = GradedElement(d, bits)
+            fill(pos + 1, entries)
+
+    fill(0, {})
+    return results
+
+
+def test_massey_product_set_matches_the_brute_force_reference():
+    rng = random.Random(20261018)
+    compared = with_boundaries = 0
+    while compared < 300:
+        top = rng.randint(4, 6)
+        base = zero_diff_algebra(rng.randint(0, 2), rng.randint(1, 3), top)
+        pairs = [rng.randint(1, top - 1) for _ in range(rng.randint(1, 3))]
+        ext, _ = extend_with_acyclic_pairs(base, pairs)
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        classes = [CohomologyClass(ext, ext.random_cocycle(d, rng)) for d in degrees]
+        try:
+            expected = reference_product_set(ext, classes, cap=1 << 10)
+        except CapExceeded:
+            continue
+        assert massey_product_set(ext, classes) == expected, (ext.dims, pairs, classes)
+        compared += 1
+        with_boundaries += any(ext.rank_diff(d - 1) for d in degrees)
+    # the inputs must exercise the representatives' boundary freedom
+    assert with_boundaries >= 100
 
 
 def test_strong_massey_check():
