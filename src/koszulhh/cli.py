@@ -397,7 +397,7 @@ def cmd_massey(args) -> tuple[dict, int]:
 
 def _replay_args(parser: argparse.ArgumentParser, params: dict) -> argparse.Namespace:
     """Parse stored parameters with their command's own subparser; a missing
-    field, a rejected value or one that parses differently is unusable."""
+    or unknown field, or a value rejected or parsed differently, is unusable."""
 
     def reject(message: str):
         raise UsageError(f"unusable report file: {message}")
@@ -424,18 +424,19 @@ def _replay_args(parser: argparse.ArgumentParser, params: dict) -> argparse.Name
 
 
 def cmd_replay(args) -> tuple[dict, int]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     try:
         with open(args.manifest) as fh:
             stored = json.load(fh)
         manifest = stored["manifest"]
         command = manifest["command"]
         params = dict(manifest["parameters"])
+        parser = sub.choices.get(command)
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise UsageError(f"unusable report file: {e}") from None
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    if command not in sub.choices or command == "replay":
+    if parser is None or command == "replay":
         raise UsageError(f"cannot replay command {command!r}")
-    rerun_args = _replay_args(sub.choices[command], params)
+    rerun_args = _replay_args(parser, params)
     rerun_args.command = command
     rerun, _ = rerun_args.func(rerun_args)
 

@@ -468,6 +468,7 @@ def test_replay_usage_errors(capsys, tmp_path):
     unknown["manifest"]["parameters"]["depth"] = 3
     for content in (
         [1],
+        {"manifest": {"command": [], "parameters": {}}},
         {"manifest": {"command": "hh-grid", "parameters": {}}},
         wrong_type,
         null_top,
