@@ -337,6 +337,8 @@ def _parse_classes(text: str, dg) -> list[CohomologyClass]:
             d = int(dtxt)
         except ValueError:
             raise UsageError(f"bad degree {dtxt!r}") from None
+        if d < 0:
+            raise UsageError(f"class degree must be nonnegative, got {d}")
         btxt = btxt.strip()
         if len(btxt) != dg.dim(d):
             raise UsageError(

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import ConnectedSumAlgebra, GradedElement, graded_multiply
 from .caps import MASSEY_CAP
@@ -488,6 +488,14 @@ def trivial_defining_system(
     return ds
 
 
+def _all_sums(vectors: Iterable[int]) -> list[int]:
+    """The sum of every subset of ``vectors``."""
+    sums = [0]
+    for v in vectors:
+        sums += [s ^ v for s in sums]
+    return sums
+
+
 def massey_product_set(
     alg: DgAlgebra, classes: Sequence[CohomologyClass], cap: int | None = None
 ) -> set[int]:
@@ -498,6 +506,10 @@ def massey_product_set(
     relation plus any sum of cocycles.  The 2**(interior cocycle dimensions)
     systems are checked against ``cap`` (``MASSEY_CAP`` when None) first.  A
     class is its remainder modulo the coboundaries on lowest-bit pivots.
+    The outer entries (1, n) and (2, n + 1) are read by no relation but the
+    corner's, and there only through products with the fixed end
+    representatives, so their cocycles move every product by the same
+    subspace: they are set to one preimage each and that subspace is added.
 
     >>> from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
     >>> H = from_connected_sum(ConnectedSumAlgebra(0, BooleanRing(3)), 4)
@@ -508,8 +520,8 @@ def massey_product_set(
     ds = _with_representatives(alg, classes)
     n = ds.n
     slots = [(i, j) for i, j in ds.slots() if j - i > 1]
-    spans = [alg.cocycle_basis(ds.expected_degree(i, j)) for i, j in slots]
-    freedom = sum(len(span) for span in spans)
+    spans = {slot: alg.cocycle_basis(ds.expected_degree(*slot)) for slot in slots}
+    freedom = sum(len(span) for span in spans.values())
     total = 1 << freedom
     cap = MASSEY_CAP if cap is None else cap
     if total > cap:
@@ -518,25 +530,41 @@ def massey_product_set(
             needed=total,
             cap=cap,
         )
-    # every sum of each interior slot's cocycles, built once
-    offsets = []
-    for span in spans:
-        sums = [0]
-        for z in span:
-            sums += [s ^ z for s in sums]
-        offsets.append(sums)
+    outer = [slot for slot in slots if slot[1] - slot[0] == n - 1]
+    inner = [slot for slot in slots if slot[1] - slot[0] < n - 1]
+    # every sum of each inner slot's cocycles, built once
+    offsets = [_all_sums(spans[slot]) for slot in inner]
 
     boundaries = EchelonBasis(lowest=True)
     d = ds.expected_degree(1, n + 1) + 1
     if 1 <= d <= alg.top:
         boundaries.extend(alg.diffs[d - 1].transpose().rows)
-    results: set[int] = set()
+    # the outer entries' cocycles shift every corner by this subspace
+    shift = EchelonBasis()
+    if outer:
+        first, last = ds.entry(1, 2), ds.entry(n, n + 1)
+        right, left = ds.expected_degree(2, n + 1), ds.expected_degree(1, n)
+        shift.extend(
+            boundaries.reduce(alg.product(first, GradedElement(right, z)).bits)
+            for z in spans[(2, n + 1)]
+        )
+        shift.extend(
+            boundaries.reduce(alg.product(GradedElement(left, z), last).bits)
+            for z in spans[(1, n)]
+        )
+    corners: set[int] = set()
 
     def fill(pos: int) -> None:
-        if pos == len(slots):
-            results.add(boundaries.reduce(ds.relation(1, n + 1)))
+        if pos == len(inner):
+            for i, j in outer:
+                d = ds.expected_degree(i, j)
+                pre = alg.coboundary_preimage(GradedElement(d + 1, ds.relation(i, j)))
+                if pre is None:
+                    return
+                ds.entries[(i, j)] = pre
+            corners.add(boundaries.reduce(ds.relation(1, n + 1)))
             return
-        i, j = slots[pos]
+        i, j = inner[pos]
         d = ds.expected_degree(i, j)
         base = alg.coboundary_preimage(GradedElement(d + 1, ds.relation(i, j)))
         if base is not None:
@@ -545,7 +573,8 @@ def massey_product_set(
                 fill(pos + 1)
 
     fill(0)
-    return results
+    shifts = _all_sums(shift.rows.values())
+    return {c ^ s for c in corners for s in shifts}
 
 
 @dataclass(frozen=True)

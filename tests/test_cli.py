@@ -374,6 +374,9 @@ def test_massey_usage_errors(capsys, tmp_path):
     assert code == 2 and "massey has no CSV form" in err
     code, out, err = run(capsys, "massey", "--atoms", "3", "--classes", "1:10")
     assert code == 2 and "class in degree 1 needs 3 bits, got 2" in err
+    code, out, err = run(capsys, "massey", "--atoms", "3", "--classes=1:100,-1:")
+    assert code == 2 and out == ""
+    assert err == "error: class degree must be nonnegative, got -1\n"
     code, out, err = run(capsys, "massey", "--atoms", "3")
     assert code == 2 and "provide --classes or --strong-check" in err
     bad = tmp_path / "bad.json"

@@ -7,8 +7,9 @@ import pytest
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, GradedElement
 from koszulhh.caps import MASSEY_CAP
+from koszulhh.cli import main
 from koszulhh.errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
-from koszulhh.gf2 import BitMatrix, EchelonBasis
+from koszulhh.gf2 import BitMatrix, EchelonBasis, echelon_rank
 from koszulhh.massey import (
     CohomologyClass,
     DefiningSystem,
@@ -296,15 +297,31 @@ def reference_product_set(alg, classes, cap=MASSEY_CAP):
     return results
 
 
+def outer_shift(alg, classes):
+    """Is the subspace by which the outer entries' cocycles move the corner
+    nonzero modulo the coboundaries?"""
+    n = len(classes)
+    if n < 3:
+        return False
+    proto = DefiningSystem(alg, tuple(c.degree for c in classes))
+    d = proto.expected_degree(1, n + 1) + 1
+    rows = list(alg.diffs[d - 1].transpose().rows) if 1 <= d <= alg.top else []
+    first, last = classes[0].element, classes[-1].element
+    right, left = proto.expected_degree(2, n + 1), proto.expected_degree(1, n)
+    moves = [alg.product(first, GradedElement(right, z)).bits for z in alg.cocycle_basis(right)]
+    moves += [alg.product(GradedElement(left, z), last).bits for z in alg.cocycle_basis(left)]
+    return echelon_rank(rows + moves) > echelon_rank(rows)
+
+
 def test_massey_product_set_matches_the_brute_force_reference():
     rng = random.Random(20261018)
-    compared = with_boundaries = 0
+    compared = with_boundaries = longer = shifted = 0
     while compared < 300:
         top = rng.randint(4, 6)
         base = zero_diff_algebra(rng.randint(0, 2), rng.randint(1, 3), top)
         pairs = [rng.randint(1, top - 1) for _ in range(rng.randint(1, 3))]
         ext, _ = extend_with_acyclic_pairs(base, pairs)
-        degrees = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        degrees = [rng.randint(0, 3) for _ in range(rng.randint(2, 4))]
         classes = [CohomologyClass(ext, ext.random_cocycle(d, rng)) for d in degrees]
         try:
             expected = reference_product_set(ext, classes, cap=1 << 10)
@@ -313,8 +330,13 @@ def test_massey_product_set_matches_the_brute_force_reference():
         assert massey_product_set(ext, classes) == expected, (ext.dims, pairs, classes)
         compared += 1
         with_boundaries += any(ext.rank_diff(d - 1) for d in degrees)
-    # the inputs must exercise the representatives' boundary freedom
+        longer += len(classes) >= 4
+        shifted += outer_shift(ext, classes)
+    # the inputs must exercise the representatives' boundary freedom, the
+    # inner entries and the outer entries' shift of the corner
     assert with_boundaries >= 100
+    assert longer >= 50
+    assert shifted >= 50
 
 
 def test_strong_massey_check():
@@ -419,3 +441,34 @@ def test_massey_class_representatives_clear_the_lowest_boundary_pivots():
     alg = DgAlgebra((1, 2, 2), (BitMatrix.zeros(2, 1), BitMatrix([0b01, 0b01], 2)), mult)
     b = CohomologyClass(alg, alg.element(1, 0b10))
     assert massey_product_set(alg, [b, b]) == {0b10}
+
+
+def non_formal_algebra():
+    """Degree 1: a, b, c, x, y with dx = ab and dy = bc; degree 2: ab, bc,
+    w, u with a * b = ab, b * c = bc, x * c = w and a * a = u; truncated at 2."""
+    mult = {(0, 0, 0, 0): 1, (1, 0, 1, 1): 0b0001, (1, 1, 1, 2): 0b0010,
+            (1, 3, 1, 2): 0b0100, (1, 0, 1, 0): 0b1000}
+    for d, dim in ((1, 5), (2, 4)):
+        for i in range(dim):
+            mult[(0, 0, d, i)] = mult[(d, i, 0, 0)] = 1 << i
+    diffs = (BitMatrix.zeros(5, 1), BitMatrix([0b01000, 0b10000, 0, 0], 5))
+    return DgAlgebra((1, 5, 4), diffs, mult)
+
+
+def test_massey_product_set_of_a_non_formal_algebra(capsys, tmp_path):
+    alg = non_formal_algebra()
+    a, b, c = (CohomologyClass(alg, alg.element(1, 1 << i)) for i in range(3))
+    # a(1,3) = x and a(2,4) = y up to cocycles: the corner is x * c = w,
+    # shifted by a * a = u through the freedom of a(2,4)
+    assert massey_product_set(alg, [a, b, c]) == {0b0100, 0b1100}
+    assert outer_shift(alg, [a, b, c])
+    assert reference_product_set(alg, [a, b, c]) == {0b0100, 0b1100}
+
+    path = tmp_path / "dg.json"
+    path.write_text(json.dumps(dg_algebra_to_dict(alg)))
+    code = main(["massey", "--dg-file", str(path), "--classes",
+                 "1:10000,1:01000,1:00100", "--enumerate"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["classSet"] == ["0010", "0011"]
+    assert report["containsZero"] is False
