@@ -29,7 +29,7 @@ from .coboundary import (
     solve_coboundary,
 )
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
-from .gf2 import BitMatrix, BitVector, echelon_rank, sparse_rank
+from .gf2 import BitMatrix, echelon_rank, sparse_rank
 from .hochschild import (
     BarFactor,
     BarReport,
@@ -75,7 +75,6 @@ __all__ = [
     "BarFactor",
     "BarReport",
     "BitMatrix",
-    "BitVector",
     "BooleanRing",
     "CapExceeded",
     "Cochain",

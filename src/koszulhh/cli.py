@@ -22,7 +22,7 @@ from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring
 from .caps import default_cap
 from .coboundary import extend_cocycle, extend_cocycle_split, solve_coboundary
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
-from .gf2 import BitVector
+from .gf2 import from01, to01
 from .hochschild import Cochain, HochschildComplex
 from .koszul import verify_koszul
 from .massey import (
@@ -101,7 +101,7 @@ def _algebra_info(alg: ConnectedSumAlgebra, subring: Subring | None) -> dict:
 
 
 def _cochain_string(hc: HochschildComplex, f: Cochain) -> str:
-    return BitVector(hc.cochain_dim(f.k, f.s), hc.cochain_to_bits(f)).to01()
+    return to01(hc.cochain_to_bits(f), hc.cochain_dim(f.k, f.s))
 
 
 def _cochain_from_string(hc: HochschildComplex, k: int, s: int, text: str) -> Cochain:
@@ -110,7 +110,7 @@ def _cochain_from_string(hc: HochschildComplex, k: int, s: int, text: str) -> Co
     if len(text) != dim:
         raise UsageError(f"cochain string must have {dim} bits, got {len(text)}")
     try:
-        bits = BitVector.from01(text).bits
+        bits = from01(text)
     except ValueError as e:
         raise UsageError(str(e)) from None
     return hc.cochain_from_bits(k, s, bits)
@@ -339,12 +339,14 @@ def _parse_classes(text: str, dg) -> list[CohomologyClass]:
             raise UsageError(f"bad degree {dtxt!r}") from None
         if d < 0:
             raise UsageError(f"class degree must be nonnegative, got {d}")
+        if d > dg.top:
+            raise UsageError(f"class degree must be at most the truncation {dg.top}, got {d}")
         btxt = btxt.strip()
         if len(btxt) != dg.dim(d):
             raise UsageError(
                 f"class in degree {d} needs {dg.dim(d)} bits, got {len(btxt)}"
             )
-        out.append(CohomologyClass(dg, GradedElement(d, BitVector.from01(btxt).bits)))
+        out.append(CohomologyClass(dg, GradedElement(d, from01(btxt))))
     return out
 
 
@@ -379,7 +381,7 @@ def cmd_massey(args) -> tuple[dict, int]:
             "manifest": _manifest(args, summary),
             "algebra": info,
             "productDegree": degree,
-            "classSet": [BitVector(dg.dim(degree), r).to01() for r in sorted(reps)],
+            "classSet": [to01(r, dg.dim(degree)) for r in sorted(reps)],
             "containsZero": 0 in reps,
         }
         return report, 0
@@ -391,7 +393,7 @@ def cmd_massey(args) -> tuple[dict, int]:
         "manifest": _manifest(args, summary),
         "algebra": info,
         "productDegree": product.degree,
-        "product": BitVector(dg.dim(product.degree), product.element.bits).to01(),
+        "product": to01(product.element.bits, dg.dim(product.degree)),
         "isZeroClass": zero,
     }
     return report, 0 if zero else 1

@@ -1,7 +1,8 @@
 """Exact linear algebra over GF(2).
 
-Vectors and matrix rows are Python integers used as bitsets: bit ``j`` is
-column ``j``, so a row exclusive-or is one machine-assisted big-int operation.
+Vectors and matrix rows are plain Python integers used as bitsets: bit
+``j`` is column ``j``, so a row exclusive-or is one machine-assisted big-int
+operation.
 
 Every dense elimination runs through ``EchelonBasis``, whose pivot side is
 fixed per instance.  Highest-bit pivots (the default) serve ``echelon_rank``,
@@ -15,87 +16,47 @@ index arrays ``first``, ``second`` (-1 for an absent entry, ``index_code``
 for the type) and gets its rank and kernel from one union-find instead
 (``pair_components``, ``sparse_rank``).
 
+The one text format for a vector is a 0/1 string whose leftmost character
+is entry 0, read by ``from01`` and written by ``to01``:
+
+>>> from01("1101")
+11
+>>> to01(11, 6)
+'110100'
 >>> m = BitMatrix.from01(["110", "011", "101"])
 >>> m.rank()
 2
->>> [v.to01() for v in BitMatrix.from01(["111"]).kernel_basis()]
+>>> [to01(v, 3) for v in BitMatrix.from01(["111"]).kernel_basis()]
 ['110', '101']
->>> BitMatrix.from01(["11"]).solve(1).to01()
+>>> to01(BitMatrix.from01(["11"]).solve(1), 2)
 '10'
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def _lsb_index(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-class BitVector:
-    """An immutable GF(2) vector of fixed length backed by an int bitset."""
+_BIT_CHARS = frozenset("01")
 
-    __slots__ = ("length", "bits")
 
-    def __init__(self, length: int, bits: int = 0):
-        if length < 0:
-            raise ValueError("vector length must be nonnegative")
-        if bits < 0 or bits >> length:
-            raise ValueError("bit pattern does not fit the stated length")
-        self.length = length
-        self.bits = bits
+def from01(text: str) -> int:
+    """Parse a left-to-right 0/1 string; the leftmost character is entry 0."""
+    if not _BIT_CHARS.issuperset(text):
+        bad = next(ch for ch in text if ch not in _BIT_CHARS)
+        raise ValueError(f"invalid bit character {bad!r}")
+    return int(text[::-1], 2) if text else 0
 
-    @classmethod
-    def from01(cls, text: str) -> "BitVector":
-        """Parse a left-to-right 0/1 string; leftmost character is entry 0."""
-        bits = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-            elif ch != "0":
-                raise ValueError(f"invalid bit character {ch!r}")
-        return cls(len(text), bits)
 
-    def to01(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
-
-    def __len__(self) -> int:
-        return self.length
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
-    __add__ = __xor__
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and self.length == other.length
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.length, self.bits))
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> list[int]:
-        return [i for i in range(self.length) if (self.bits >> i) & 1]
-
-    def __repr__(self) -> str:
-        return f"BitVector('{self.to01()}')"
+def to01(bits: int, length: int) -> str:
+    """The 0/1 string of ``length`` entries whose entry ``j`` is bit ``j``."""
+    if bits < 0 or bits >> length:
+        raise ValueError("bit pattern does not fit the stated length")
+    return format(bits, "b").zfill(length)[::-1] if length else ""
 
 
 class BitMatrix:
@@ -119,24 +80,11 @@ class BitMatrix:
 
     @classmethod
     def from01(cls, rows: Iterable[str]) -> "BitMatrix":
-        vecs = [BitVector.from01(r) for r in rows]
-        if not vecs:
-            return cls([], 0)
-        cols = vecs[0].length
-        if any(v.length != cols for v in vecs):
+        rows = list(rows)
+        cols = len(rows[0]) if rows else 0
+        if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
-        return cls([v.bits for v in vecs], cols)
-
-    @classmethod
-    def from_vectors(cls, vecs: Iterable[BitVector], cols: int | None = None) -> "BitMatrix":
-        vecs = list(vecs)
-        if cols is None:
-            if not vecs:
-                raise ValueError("column count required for an empty matrix")
-            cols = vecs[0].length
-        if any(v.length != cols for v in vecs):
-            raise ValueError("ragged rows")
-        return cls([v.bits for v in vecs], cols)
+        return cls([from01(r) for r in rows], cols)
 
     @classmethod
     def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
@@ -150,12 +98,6 @@ class BitMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.cols, self.rows[i])
-
-    def __iter__(self) -> Iterator[BitVector]:
-        return (BitVector(self.cols, r) for r in self.rows)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -166,10 +108,8 @@ class BitMatrix:
     def __hash__(self):
         return hash((self.rows, self.cols))
 
-    def mul_vec(self, v: int | BitVector) -> int:
+    def mul_vec(self, v: int) -> int:
         """Matrix-vector product; ``v`` and the result are int bitsets."""
-        if isinstance(v, BitVector):
-            v = v.bits
         out = 0
         for i, r in enumerate(self.rows):
             if (r & v).bit_count() & 1:
@@ -184,11 +124,6 @@ class BitMatrix:
                 out[j] |= 1 << i
                 r &= r - 1
         return BitMatrix(out, len(self.rows))
-
-    def stack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch")
-        return BitMatrix(self.rows + other.rows, self.cols)
 
     def compose(self, other: "BitMatrix") -> "BitMatrix":
         """Return self @ other (apply ``other`` first)."""
@@ -221,7 +156,7 @@ class BitMatrix:
     def rank(self) -> int:
         return len(self._reduced())
 
-    def kernel_basis(self) -> list[BitVector]:
+    def kernel_basis(self) -> list[int]:
         """Basis of ``{x : m @ x = 0}``, ordered by free column index."""
         basis = self._reduced()
         pivots = set(basis)
@@ -233,7 +168,7 @@ class BitMatrix:
             for p, row in basis.items():
                 if (row >> f) & 1:
                     v |= 1 << p
-            out.append(BitVector(self.cols, v))
+            out.append(v)
         return out
 
     def _row_combinations(self) -> list[tuple[int, int]]:
@@ -252,23 +187,19 @@ class BitMatrix:
             self._combos = [(p, r >> cols) for p, r in basis.rows.items()]
         return self._combos
 
-    def solve(self, b: int | BitVector) -> BitVector | None:
+    def solve(self, b: int) -> int | None:
         """One solution of ``m @ x = b`` (free variables zero), or None.
 
         The elimination is done once per matrix; each call only reads the
         parity of ``b`` on the recorded row combinations.
         """
-        if isinstance(b, BitVector):
-            if b.length != self.nrows:
-                raise ValueError("right-hand side length mismatch")
-            b = b.bits
         x = 0
         for p, combo in self._row_combinations():
             if (combo & b).bit_count() & 1:
                 if p >= self.cols:
                     return None
                 x |= 1 << p
-        return BitVector(self.cols, x)
+        return x
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.nrows}x{self.cols})"

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .algebra import ConnectedSumAlgebra, graded_multiply
 from .caps import default_cap
 from .errors import CapExceeded
-from .gf2 import BitMatrix, BitVector, EchelonBasis, index_code, sparse_rank
+from .gf2 import BitMatrix, EchelonBasis, index_code, sparse_rank
 
 
 def count_admissible(m: int, n: int, k: int) -> int:
@@ -171,7 +171,7 @@ def _multiplication_matrix(alg: ConnectedSumAlgebra) -> BitMatrix:
 
 def koszul_space_generic(
     alg: ConnectedSumAlgebra, k: int, cap: int | None = None
-) -> tuple[int, list[BitVector]]:
+) -> tuple[int, list[int]]:
     """Dimension and basis of the degree-k Koszul piece, by direct intersection.
 
     Computes the relation space as the kernel of the degree-1 multiplication
@@ -185,9 +185,9 @@ def koszul_space_generic(
     if g_count**k > cap:
         raise CapExceeded("tensor power enumeration", g_count**k, cap)
     if k == 0:
-        return 1, [BitVector(1, 1)]
+        return 1, [1]
     if k == 1:
-        return g_count, [BitVector(g_count, 1 << i) for i in range(g_count)]
+        return g_count, [1 << i for i in range(g_count)]
     mult = _multiplication_matrix(alg)
     dim2 = alg.graded_dim(2)
     total = g_count**k
@@ -229,7 +229,7 @@ def admissible_in_generic_span(alg: ConnectedSumAlgebra, k: int, cap: int | None
         return True
     # one echelon basis of the span; membership is then reduction to zero
     span = EchelonBasis()
-    span.extend(v.bits for v in basis)
+    span.extend(basis)
     g_count = alg.gen_count
     return all(span.reduce(1 << sequence_tensor_index(t, g_count)) == 0 for t in seqs)
 

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 from .algebra import ConnectedSumAlgebra, GradedElement, graded_multiply
 from .caps import MASSEY_CAP
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
-from .gf2 import BitMatrix, BitVector, EchelonBasis
+from .gf2 import BitMatrix, EchelonBasis, from01, to01
 
 
 def _columns_matrix(columns: list[int], nrows: int) -> BitMatrix:
@@ -162,7 +162,7 @@ class DgAlgebra:
             return []
         if d == self.top:
             return [1 << i for i in range(self.dims[d])]
-        return [v.bits for v in self.diffs[d].kernel_basis()]
+        return self.diffs[d].kernel_basis()
 
     def cohomology_dim(self, d: int) -> int:
         return self.dim(d) - self.rank_diff(d) - self.rank_diff(d - 1)
@@ -171,12 +171,7 @@ class DgAlgebra:
         return self.diff(a).bits == 0
 
     def is_coboundary(self, a: GradedElement) -> bool:
-        if a.bits == 0:
-            return True
-        d = a.degree
-        if not 1 <= d <= self.top:
-            return False
-        return self.diffs[d - 1].solve(a.bits) is not None
+        return self.coboundary_preimage(a) is not None
 
     def coboundary_preimage(self, a: GradedElement) -> GradedElement | None:
         """Some ``p`` with ``diff(p) == a``, or None."""
@@ -184,9 +179,7 @@ class DgAlgebra:
         if not 1 <= d <= self.top:
             return self.zero(d - 1) if a.bits == 0 else None
         x = self.diffs[d - 1].solve(a.bits)
-        if x is None:
-            return None
-        return GradedElement(d - 1, x.bits)
+        return None if x is None else GradedElement(d - 1, x)
 
     def has_zero_differential(self) -> bool:
         return all(mat.is_zero() for mat in self.diffs)
@@ -623,7 +616,7 @@ def strong_massey_check(
             bits = 0
             for v in kernel:
                 if rng.getrandbits(1):
-                    bits ^= v.bits
+                    bits ^= v
             elts.append(GradedElement(d, bits))
         classes = [CohomologyClass(alg, e) for e in elts]
         ds = trivial_defining_system(alg, classes)
@@ -663,14 +656,14 @@ def lift_cocycle(q: DgMap, target_cocycle: GradedElement) -> GradedElement:
         raise ValueError("cocycle does not lift; the map is not an acyclic fibration")
     a_bits = 0
     for idx in range(len(zbasis)):
-        if (sol.bits >> idx) & 1:
+        if (sol >> idx) & 1:
             a_bits ^= zbasis[idx]
-    corr = sol.bits >> len(zbasis)
+    corr = sol >> len(zbasis)
     if corr:
         pre = q.mats[d - 1].solve(corr)
         if pre is None:
             raise ValueError("correction does not lift; the map is not surjective")
-        a_bits ^= src.diffs[d - 1].mul_vec(pre.bits)
+        a_bits ^= src.diffs[d - 1].mul_vec(pre)
     lifted = GradedElement(d, a_bits)
     if not src.is_cocycle(lifted) or q.apply(lifted).bits != target_cocycle.bits:
         raise AssertionError("lifted cocycle failed verification")
@@ -732,7 +725,7 @@ def lift_defining_system(
         pre = q.mats[w.degree].solve(w.bits)
         if pre is None:
             raise ValueError("primitive does not lift; the map is not surjective")
-        lifted.entries[(i, i + 1)] = r ^ src.diff(GradedElement(w.degree, pre.bits))
+        lifted.entries[(i, i + 1)] = r ^ src.diff(GradedElement(w.degree, pre))
     for i, j in lifted.slots():
         if j - i == 1:
             continue
@@ -753,16 +746,16 @@ def dg_algebra_to_dict(alg: DgAlgebra) -> dict:
     diffs = []
     for d in range(alg.top):
         mat = alg.diffs[d]
-        diffs.append([mat.row(i).to01() for i in range(mat.nrows)])
+        diffs.append([to01(row, mat.cols) for row in mat.rows])
     mult = {
-        f"{d1},{i1},{d2},{i2}": BitVector(alg.dim(d1 + d2), bits).to01()
+        f"{d1},{i1},{d2},{i2}": to01(bits, alg.dim(d1 + d2))
         for (d1, i1, d2, i2), bits in sorted(alg.mult.items())
     }
     return {
         "dims": list(alg.dims),
         "differentials": diffs,
         "multiplication": mult,
-        "unit": BitVector(alg.dim(0), alg.unit.bits).to01(),
+        "unit": to01(alg.unit.bits, alg.dim(0)),
     }
 
 
@@ -777,12 +770,19 @@ def dg_algebra_from_dict(data: dict) -> DgAlgebra:
         else:
             mat = BitMatrix.zeros(dims[d + 1], dims[d])
         diffs.append(mat)
-    mult = {}
     table = data.get("multiplication", {})
     if not isinstance(table, dict):
         raise ValueError("multiplication must be a JSON object")
+    # (name, degree, 0/1 string) of every vector the file spells out
+    texts = [("unit", 0, data.get("unit", "1"))]
+    mult = {}
     for key, val in table.items():
         d1, i1, d2, i2 = (int(x) for x in key.split(","))
-        mult[(d1, i1, d2, i2)] = BitVector.from01(val).bits
-    unit = BitVector.from01(data.get("unit", "1")).bits
-    return DgAlgebra(dims, diffs, mult, unit_bits=unit)
+        mult[(d1, i1, d2, i2)] = from01(val)
+        texts.append((f"product {key}", d1 + d2, val))
+    alg = DgAlgebra(dims, diffs, mult, unit_bits=from01(texts[0][2]), validate=False)
+    for name, d, text in texts:
+        if len(text) != alg.dim(d):
+            raise ValueError(f"{name} needs {alg.dim(d)} bits, got {len(text)}")
+    alg.validate()
+    return alg

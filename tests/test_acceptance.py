@@ -219,7 +219,7 @@ def _kernel_tuple(tgt, size, degrees, rng):
         bits = 0
         for v in mat.kernel_basis():
             if rng.getrandbits(1):
-                bits ^= v.bits
+                bits ^= v
         elts.append(GradedElement(d, bits))
     return elts
 

@@ -11,7 +11,7 @@ from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex
 from koszulhh.koszul import admissible_tuples
-from koszulhh.gf2 import BitVector
+from koszulhh.gf2 import to01
 from koszulhh.massey import dg_algebra_to_dict, from_connected_sum
 from koszulhh.massey import extend_with_acyclic_pairs
 
@@ -259,7 +259,7 @@ def test_solve_coboundary_explicit_cochain(capsys):
     vals = [0] * len(index)
     vals[index[(0, 1, 0)]] = 0b001
     f = Cochain(3, -1, tuple(vals))
-    text = BitVector(hc.cochain_dim(3, -1), hc.cochain_to_bits(f)).to01()
+    text = to01(hc.cochain_to_bits(f), hc.cochain_dim(3, -1))
     code, rep = run_json(
         capsys, "solve-coboundary", "--atoms", "3", "--k", "3", "--s", "-1",
         "--cochain", text,
@@ -269,7 +269,7 @@ def test_solve_coboundary_explicit_cochain(capsys):
     g_vals = [0] * len(index)
     g_vals[index[(1, 0)]] = 0b001
     g = Cochain(2, -1, tuple(g_vals))
-    assert rep["primitive"] == BitVector(hc.cochain_dim(2, -1), hc.cochain_to_bits(g)).to01()
+    assert rep["primitive"] == to01(hc.cochain_to_bits(g), hc.cochain_dim(2, -1))
 
 
 def test_solve_coboundary_usage_errors(capsys):
@@ -360,7 +360,7 @@ def test_massey_dg_file_and_cap(capsys, tmp_path):
     assert err == "cap exceeded: enumerating 2**6 defining systems exceeds the cap\n"
     # the representatives' boundaries are not enumerated: no interior slot,
     # one system; the product lands above the truncation, in a 0-bit degree
-    bits = BitVector(ext.dim(3), ext.cocycle_basis(3)[0]).to01()
+    bits = to01(ext.cocycle_basis(3)[0], ext.dim(3))
     code, rep = run_json(
         capsys, "massey", "--dg-file", str(path),
         "--classes", f"3:{bits},3:{bits}", "--enumerate", "--cap", "1",
@@ -377,6 +377,15 @@ def test_massey_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "massey", "--atoms", "3", "--classes=1:100,-1:")
     assert code == 2 and out == ""
     assert err == "error: class degree must be nonnegative, got -1\n"
+    # a class above the truncation has no product to speak of
+    code, out, err = run(capsys, "massey", "--atoms", "3", "--top", "4",
+                         "--classes", "1:100,5:")
+    assert code == 2 and out == ""
+    assert err == "error: class degree must be at most the truncation 4, got 5\n"
+    code, out, err = run(capsys, "massey", "--atoms", "3", "--classes", "1:100,9:",
+                         "--enumerate")
+    assert code == 2 and out == ""
+    assert err == "error: class degree must be at most the truncation 8, got 9\n"
     code, out, err = run(capsys, "massey", "--atoms", "3")
     assert code == 2 and "provide --classes or --strong-check" in err
     bad = tmp_path / "bad.json"
@@ -384,6 +393,16 @@ def test_massey_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "massey", "--dg-file", str(bad),
                          "--classes", "1:10")
     assert code == 2 and "bad dg algebra file" in err
+    short = tmp_path / "short.json"
+    base = from_connected_sum(ConnectedSumAlgebra(0, BooleanRing(2)), 2)
+    short.write_text(json.dumps(dg_algebra_to_dict(base)))
+    code, out, err = run(capsys, "massey", "--dg-file", str(short),
+                         "--classes", "1:10,3:")
+    assert code == 2 and out == ""
+    assert err == "error: class degree must be at most the truncation 2, got 3\n"
+    code, out, err = run(capsys, "massey", "--dg-file", str(short),
+                         "--classes", "1:10,2:01")
+    assert code == 0
 
 
 @pytest.mark.parametrize(
@@ -393,6 +412,15 @@ def test_massey_usage_errors(capsys, tmp_path):
         ("[1, 2]", "error: bad dg algebra file: expected a JSON object"),
         ('{"dims": [1, 1], "differentials": [["0"]], "multiplication": []}',
          "error: bad dg algebra file: multiplication must be a JSON object"),
+        # bit strings whose extra zeros would be dropped, or missing zeros assumed
+        ('{"dims": [1, 2, 1], "differentials": [[], []], '
+         '"multiplication": {"1,0,1,1": "10000"}}',
+         "error: bad dg algebra file: product 1,0,1,1 needs 1 bits, got 5"),
+        ('{"dims": [1, 2, 1], "differentials": [[], []], '
+         '"multiplication": {"1,0,1,1": "1"}, "unit": "1000"}',
+         "error: bad dg algebra file: unit needs 1 bits, got 4"),
+        ('{"dims": [2, 2, 1], "differentials": [[], []], "unit": "1"}',
+         "error: bad dg algebra file: unit needs 2 bits, got 1"),
     ],
 )
 def test_massey_dg_file_errors_exit_2_in_one_line(capsys, tmp_path, content, message):

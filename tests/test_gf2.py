@@ -1,8 +1,9 @@
-"""Exact linear algebra over GF(2): vectors, matrices, rank helpers."""
+"""Exact linear algebra over GF(2): the 0/1 string codec, matrices, rank helpers."""
 
 from __future__ import annotations
 
 import random
+import re
 from array import array
 
 import pytest
@@ -11,16 +12,17 @@ from hypothesis import strategies as st
 
 from koszulhh.gf2 import (
     BitMatrix,
-    BitVector,
     EchelonBasis,
     echelon_rank,
+    from01,
     index_code,
     pair_components,
     sparse_rank,
+    to01,
 )
 
 
-def reference_solve(m: BitMatrix, b: int) -> BitVector | None:
+def reference_solve(m: BitMatrix, b: int) -> int | None:
     """The earlier BitMatrix.solve: eliminate [m | b], then back-substitute."""
     aug = m.cols
     basis: dict[int, int] = {}
@@ -44,7 +46,7 @@ def reference_solve(m: BitMatrix, b: int) -> BitVector | None:
     for p, row in basis.items():
         if (row >> aug) & 1:
             x |= 1 << p
-    return BitVector(m.cols, x)
+    return x
 
 
 def reference_echelon(vectors) -> dict[int, int]:
@@ -91,40 +93,49 @@ def span_element(rows, mask: int) -> int:
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
-def test_bitvector_from01_leftmost_is_entry_zero():
-    v = BitVector.from01("1010")
-    assert v[0] == 1 and v[1] == 0 and v[2] == 1 and v[3] == 0
-    assert v.to01() == "1010"
-    assert len(v) == 4
+def test_from01_leftmost_is_entry_zero():
+    assert from01("1010") == 0b0101
+    assert to01(0b0101, 4) == "1010"
+    assert from01("") == 0 and to01(0, 0) == ""
+    assert to01(0, 3) == "000" and to01(0b1101, 6) == "101100"
 
 
-def test_bitvector_xor_weight_support():
-    a = BitVector.from01("1100")
-    b = BitVector.from01("0110")
-    c = a ^ b
-    assert c.to01() == "1010"
-    assert c.weight() == 2
-    assert c.support() == [0, 2]
-    assert bool(BitVector(3, 0)) is False
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_to01_and_from01_round_trip(data):
+    length = data.draw(st.integers(0, 300))
+    bits = data.draw(st.integers(0, (1 << length) - 1))
+    text = to01(bits, length)
+    assert text == "".join("1" if (bits >> j) & 1 else "0" for j in range(length))
+    assert from01(text) == bits
+    spelled = data.draw(st.text(alphabet="01", min_size=length, max_size=length))
+    assert to01(from01(spelled), length) == spelled
 
 
-def test_bitvector_from01_rejects_invalid_characters():
-    assert BitVector.from01("1010").bits == 0b0101
-    assert BitVector.from01(BitVector(6, 0b1101).to01()).bits == 0b1101
-    with pytest.raises(ValueError, match="invalid bit character 'x'"):
-        BitVector.from01("10x1")
+@pytest.mark.parametrize("text, bad", [
+    ("10x1", "x"), ("1_0", "_"), (" 10", " "), ("10 ", " "),
+    ("+1", "+"), ("-1", "-"), ("0b1", "b"), ("1\n", "\n"), ("2", "2"),
+])
+def test_from01_rejects_invalid_characters(text, bad):
+    # int(..., 2) alone would take underscores, surrounding spaces, signs and 0b
+    with pytest.raises(ValueError, match=re.escape(f"invalid bit character {bad!r}")):
+        from01(text)
 
 
-def test_bitvector_rejects_overflow_bits():
-    with pytest.raises(ValueError):
-        BitVector(2, 0b100)
+@pytest.mark.parametrize("bits, length", [(0b100, 2), (1, 0), (-1, 3)])
+def test_to01_rejects_bits_that_do_not_fit(bits, length):
+    with pytest.raises(ValueError, match="does not fit the stated length"):
+        to01(bits, length)
 
 
 def test_bitmatrix_from01_and_row_access():
     m = BitMatrix.from01(["110", "011"])
     assert m.nrows == 2 and m.cols == 3
-    assert m.row(0).to01() == "110"
-    assert [r.to01() for r in m] == ["110", "011"]
+    assert m.rows == (0b011, 0b110)
+    assert [to01(r, m.cols) for r in m.rows] == ["110", "011"]
+    assert BitMatrix.from01([]) == BitMatrix([], 0)
+    with pytest.raises(ValueError, match="ragged rows"):
+        BitMatrix.from01(["110", "01"])
 
 
 def test_bitmatrix_identity_and_zeros():
@@ -141,7 +152,7 @@ def test_rank_hand_examples():
 
 def test_mul_vec_matches_row_dot_products():
     m = BitMatrix.from01(["110", "011", "111"])
-    x = BitVector.from01("101").bits
+    x = from01("101")
     out = m.mul_vec(x)
     # rows dotted with x mod 2: 1, 1, 0
     assert out == 0b011
@@ -167,7 +178,7 @@ def test_kernel_basis_spans_the_kernel():
     ker = m.kernel_basis()
     assert len(ker) == 3 - m.rank()
     for v in ker:
-        assert m.mul_vec(v.bits) == 0
+        assert m.mul_vec(v) == 0
 
 
 def test_kernel_of_full_rank_matrix_is_trivial():
@@ -176,12 +187,12 @@ def test_kernel_of_full_rank_matrix_is_trivial():
 
 def test_solve_hand_cases():
     m = BitMatrix.from01(["110", "011"])
-    x = m.solve(BitVector.from01("10"))
-    assert x is not None and m.mul_vec(x.bits) == 0b01
+    x = m.solve(from01("10"))
+    assert x is not None and m.mul_vec(x) == 0b01
     # inconsistent system: equal rows with distinct right-hand sides
     m2 = BitMatrix.from01(["110", "110"])
-    assert m2.solve(BitVector.from01("10")) is None
-    assert m2.solve(BitVector.from01("11")) is not None
+    assert m2.solve(from01("10")) is None
+    assert m2.solve(from01("11")) is not None
 
 
 def test_solve_random_consistency():
@@ -191,14 +202,7 @@ def test_solve_random_consistency():
         m = BitMatrix([rng.getrandbits(nc) for _ in range(nr)], nc)
         target = m.mul_vec(rng.getrandbits(nc))
         x = m.solve(target)
-        assert x is not None and m.mul_vec(x.bits) == target
-
-
-def test_from_vectors_places_vectors_as_rows():
-    vecs = [BitVector.from01("10"), BitVector.from01("11")]
-    m = BitMatrix.from_vectors(vecs)
-    assert m.nrows == 2 and m.cols == 2
-    assert m.row(1).to01() == "11"
+        assert x is not None and m.mul_vec(x) == target
 
 
 def test_echelon_rank_matches_dense_rank():
@@ -253,7 +257,7 @@ def test_kernel_vectors_are_annihilated_and_count_the_nullity(m):
     ker = m.kernel_basis()
     assert all(m.mul_vec(v) == 0 for v in ker)
     assert len(ker) == m.cols - m.rank()
-    assert BitMatrix.from_vectors(ker, m.cols).rank() == len(ker)
+    assert BitMatrix(ker, m.cols).rank() == len(ker)
     assert m.rank() == echelon_rank(m.rows)
 
 

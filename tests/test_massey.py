@@ -276,10 +276,9 @@ def reference_product_set(alg, classes, cap=MASSEY_CAP):
             for t in range(i + 1, j):
                 rhs ^= alg.product(entries[(i, t)], entries[(t, j)]).bits
             if 0 <= d < alg.top:
-                sol = alg.diffs[d].solve(rhs)
-                if sol is None:
+                base = alg.diffs[d].solve(rhs)
+                if base is None:
                     return
-                base = sol.bits
             elif rhs:
                 return
             else:
