@@ -46,6 +46,7 @@ _BIT_CHARS = frozenset("01")
 
 def from01(text: str) -> int:
     """Parse a left-to-right 0/1 string; the leftmost character is entry 0."""
+    # checked first: int(..., 2) would also take "_", spaces, signs and "0b"
     if not _BIT_CHARS.issuperset(text):
         bad = next(ch for ch in text if ch not in _BIT_CHARS)
         raise ValueError(f"invalid bit character {bad!r}")
