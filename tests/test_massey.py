@@ -135,6 +135,11 @@ def test_coboundary_preimage():
     assert pre is not None and ext.diff(pre).bits == b.bits
     nontrivial = lift_cocycle(proj, base.element(1, 1))
     assert ext.coboundary_preimage(nontrivial) is None
+    assert ext.is_coboundary(b) and not ext.is_coboundary(nontrivial)
+    # a zero element is exact in every degree, inside the window or not
+    for d in (-1, 0, ext.top, ext.top + 1):
+        assert ext.is_coboundary(ext.zero(d))
+    assert not ext.is_coboundary(ext.unit)
 
 
 def test_defining_system_bookkeeping():
