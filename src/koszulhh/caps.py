@@ -1,8 +1,11 @@
-"""Resource guard defaults shared by enumeration-heavy operations."""
+"""Resource guards shared by enumeration-heavy operations: the defaults and the one check."""
 
 from __future__ import annotations
 
 import os
+from typing import Callable
+
+from .errors import CapExceeded
 
 DEFAULT_CAP = 2_000_000
 DEFAULT_BAR_CAP = 250_000
@@ -31,3 +34,16 @@ def default_cap() -> int:
 def bar_cap() -> int:
     """Bar-matrix workload guard per internal degree; overridable via KOSZULHH_BAR_CAP."""
     return _env_cap("KOSZULHH_BAR_CAP", DEFAULT_BAR_CAP)
+
+
+def check_cap(
+    what: str, needed: int, cap: int | None, default: Callable[[], int] = default_cap
+) -> int:
+    """Raise CapExceeded(what, needed, cap) when needed exceeds cap (default() when None).
+
+    Returns needed, so a count can be checked where it is taken.
+    """
+    cap = default() if cap is None else cap
+    if needed > cap:
+        raise CapExceeded(what, needed, cap)
+    return needed

@@ -19,7 +19,6 @@ import time
 
 from . import __version__ as VERSION
 from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring
-from .caps import default_cap
 from .coboundary import extend_cocycle, extend_cocycle_split, solve_coboundary
 from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
 from .gf2 import from01, to01
@@ -633,8 +632,12 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write the report: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

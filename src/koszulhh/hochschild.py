@@ -398,11 +398,11 @@ class HochschildComplex:
         factors = []
         matrices = ()
         if top >= 0:
+            pieces, matrices = bar.cohomology(k, top)
             cum = 0
-            for d, piece in enumerate(bar.graded_cohomology(k, top)):
+            for d, piece in enumerate(pieces):
                 cum += piece
                 factors.append(BarFactor(d, cum, piece))
-            matrices = bar.block_stats(k, top)
         return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from, matrices)
 
 
@@ -621,11 +621,6 @@ class _BarComplex:
         self._layout_cache[key] = hit
         return hit
 
-    def _lower_blocks(self, k: int, top: int) -> list[int]:
-        """Per weight block of the (k-1)-cochains, the k-cochain block of that weight, or -1."""
-        ids = {w: b for b, w in enumerate(self._layout(k, top).codes)}
-        return [ids.get(w, -1) for w in self._layout(k - 1, top).codes]
-
     # -- rows and ranks ------------------------------------------------------
 
     def _rows(self, q: int, e: int, layout: _Layout) -> Iterator[tuple[int, int]]:
@@ -724,35 +719,21 @@ class _BarComplex:
 
     # -- cohomology ----------------------------------------------------------
 
-    def nonzero_blocks(self, k: int, top: int, keep: dict | None = None) -> list[int]:
-        """Weight blocks of the k-cochains whose truncated cohomology is nonzero.
+    def cohomology(self, k: int, top: int) -> tuple[list[int], tuple[BarBlocks, ...]]:
+        """Argument-degree graded pieces of H^k at truncation top, and the
+        weight-block shape of the matrices eliminated for them, ascending q.
 
-        Block b carries cocycles minus coboundaries: its size, less the rank
-        of the k-th coboundary on it, less the rank of the (k-1)-th on the
-        block of the same weight below.
-        """
-        layout = self._layout(k, top)
-        if not layout.block:
-            return []
-        h = list(layout.sizes)
-        for b, r in enumerate(self._block_ranks(k, top, keep)):
-            h[b] -= r
-        if k >= 1:
-            for b, r in zip(self._lower_blocks(k, top), self._block_ranks(k - 1, top, keep)):
-                if r:
-                    h[b] -= r
-        return [b for b, left in enumerate(h) if left]
-
-    def graded_cohomology(self, k: int, top: int) -> list[int]:
-        """Argument-degree graded pieces of H^k at truncation top.
+        Block b of the k-cochains carries cocycles minus coboundaries: its
+        size, less the rank of the k-th coboundary on it, less the rank of
+        the (k-1)-th on the block of the same weight below.
 
         Cochains supported in degrees >= d form a subcomplex (the coboundary
         never lowers argument degree); the dimensions of the induced
         decreasing filtration on cohomology difference to one piece per
         degree, and the pieces sum to the truncated cohomology.  The
         filtration is the sum of those of the weight blocks, and a block with
-        zero cohomology has every piece zero, so only the blocks of
-        nonzero_blocks are read.
+        zero cohomology has every piece zero, so only the blocks with
+        nonzero cohomology are read.
 
         One more pass over a block's rows gives every floor at once.  The
         cocycles of degree >= d are the kernel of the k-th coboundary on the
@@ -763,17 +744,35 @@ class _BarComplex:
         inserting the rows degree by degree.  Buckets assembled for the ranks
         of this call are reused, so a fresh cell assembles each matrix once.
         """
-        keep: dict = {}
-        blocks = self.nonzero_blocks(k, top, keep)
-        pieces = [0] * (top + 1)
-        if not blocks:
-            return pieces
         layout = self._layout(k, top)
+        pieces = [0] * (top + 1)
+        if not layout.block:
+            return pieces, ()
+        keep: dict = {}
+        h = list(layout.sizes)
+        for b, r in enumerate(self._block_ranks(k, top, keep)):
+            h[b] -= r
+        lower = {}  # k-block -> the (k-1)-block of the same weight
+        if k >= 1:
+            ids = {w: b for b, w in enumerate(layout.codes)}
+            ranks_in = self._block_ranks(k - 1, top, keep)
+            for b_in, w in enumerate(self._layout(k - 1, top).codes):
+                b = ids.get(w)
+                if b is not None:
+                    lower[b] = b_in
+                    h[b] -= ranks_in[b_in]
+        blocks = [b for b, left in enumerate(h) if left]
+        read = {k - 1: sum(b in lower for b in blocks), k: len(blocks)}
+        matrices = []
+        for q in range(max(k - 1, 0), k + 1):
+            shape = self._layout(q, top)
+            widest = max(shape.sizes, default=0)
+            matrices.append(BarBlocks(q, len(shape.block), len(shape.codes), widest, read[q]))
+        if not blocks:
+            return pieces, tuple(matrices)
         rows_out = (keep.get(k) or self._buckets(k, top))[0]
-        lower = {}
         if k >= 1:
             rows_in, ends = keep.get(k - 1) or self._buckets(k - 1, top)
-            lower = {b: b_in for b_in, b in enumerate(self._lower_blocks(k, top)) if b >= 0}
         for b in blocks:
             basis = EchelonBasis()
             basis.extend(rows_out[b])
@@ -795,22 +794,7 @@ class _BarComplex:
                 filtered.append(cocycles - (below[top + 1] - below[d]))
             for d in range(top + 1):
                 pieces[d] += filtered[d] - filtered[d + 1]
-        return pieces
-
-    def block_stats(self, k: int, top: int) -> tuple[BarBlocks, ...]:
-        """Weight-block shape of the matrices eliminated for H^k at truncation top."""
-        if not self._layout(k, top).block:
-            return ()
-        hot = set(self.nonzero_blocks(k, top))
-        read = {k: len(hot)}
-        if k >= 1:
-            read[k - 1] = sum(b in hot for b in self._lower_blocks(k, top))
-        out = []
-        for q in sorted(read):
-            layout = self._layout(q, top)
-            widest = max(layout.sizes, default=0)
-            out.append(BarBlocks(q, len(layout.block), len(layout.codes), widest, read[q]))
-        return tuple(out)
+        return pieces, tuple(matrices)
 
 
 def hh_dim(alg: ConnectedSumAlgebra, k: int, s: int, subring: Subring | None = None) -> int:

@@ -27,8 +27,7 @@ from itertools import accumulate, repeat
 from typing import NamedTuple
 
 from .algebra import ConnectedSumAlgebra, graded_multiply
-from .caps import default_cap
-from .errors import CapExceeded
+from .caps import check_cap
 from .gf2 import BitMatrix, EchelonBasis, index_code, sparse_rank
 
 
@@ -127,11 +126,7 @@ def child_position(m: int, n: int, j: int, p: int, g: int) -> int:
 
 def capped_count(m: int, n: int, k: int, cap: int | None = None) -> int:
     """count_admissible, raising CapExceeded above cap (default_cap() when None)."""
-    cap = default_cap() if cap is None else cap
-    needed = count_admissible(m, n, k)
-    if needed > cap:
-        raise CapExceeded("admissible sequence enumeration", needed, cap)
-    return needed
+    return check_cap("admissible sequence enumeration", count_admissible(m, n, k), cap)
 
 
 @lru_cache(maxsize=128)
@@ -181,16 +176,13 @@ def koszul_space_generic(
     if k < 0:
         raise ValueError("negative length")
     g_count = alg.gen_count
-    cap = default_cap() if cap is None else cap
-    if g_count**k > cap:
-        raise CapExceeded("tensor power enumeration", g_count**k, cap)
+    total = check_cap("tensor power enumeration", g_count**k, cap)
     if k == 0:
         return 1, [1]
     if k == 1:
         return g_count, [1 << i for i in range(g_count)]
     mult = _multiplication_matrix(alg)
     dim2 = alg.graded_dim(2)
-    total = g_count**k
     stacked = []
     for i in range(k - 1):
         left, right = g_count**i, g_count ** (k - 2 - i)

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ConnectedSumAlgebra, GradedElement, graded_multiply
-from .caps import MASSEY_CAP
-from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
+from .caps import MASSEY_CAP, check_cap
+from .errors import InvalidDefiningSystemError, NotACocycleError
 from .gf2 import BitMatrix, EchelonBasis, from01, to01
 
 
@@ -515,14 +515,8 @@ def massey_product_set(
     slots = [(i, j) for i, j in ds.slots() if j - i > 1]
     spans = {slot: alg.cocycle_basis(ds.expected_degree(*slot)) for slot in slots}
     freedom = sum(len(span) for span in spans.values())
-    total = 1 << freedom
-    cap = MASSEY_CAP if cap is None else cap
-    if total > cap:
-        raise CapExceeded(
-            f"enumerating 2**{freedom} defining systems exceeds the cap",
-            needed=total,
-            cap=cap,
-        )
+    message = f"enumerating 2**{freedom} defining systems exceeds the cap"
+    check_cap(message, 1 << freedom, cap, lambda: MASSEY_CAP)
     outer = [slot for slot in slots if slot[1] - slot[0] == n - 1]
     inner = [slot for slot in slots if slot[1] - slot[0] < n - 1]
     # every sum of each inner slot's cocycles, built once

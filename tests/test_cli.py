@@ -92,6 +92,15 @@ def test_memory_error_exits_3_without_traceback(capsys, monkeypatch):
     assert err.startswith("out of memory:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("target", ["missing/r.json", ""])
+def test_unwritable_out_exits_2_without_traceback(capsys, tmp_path, target):
+    # a file in a directory that does not exist, and the directory itself
+    out = tmp_path / target
+    code, printed, err = run(capsys, "hh-grid", "--atoms", "1", "--k-max", "1", "--out", str(out))
+    assert code == 2 and printed == ""
+    assert err.startswith("error: cannot write the report:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from array import array
 
 import pytest
 
@@ -487,7 +488,7 @@ def test_every_bar_row_lies_in_one_weight_block(m, n, blocks, k, s):
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
 def test_bar_filtration_matches_the_per_floor_reference(m, n, blocks, k, s):
     bar = _bar_complex(m, n, blocks, s)
-    pieces = [bar.graded_cohomology(k, top) for top in range(7)]
+    pieces = [bar.cohomology(k, top)[0] for top in range(7)]
     assert pieces == [_reference_graded_cohomology(bar, k, top) for top in range(7)]
     assert sum(pieces[-1]) == bar.hc.hh(k, s).cohomology
 
@@ -515,25 +516,37 @@ def test_capped_bar_filtration_matches_the_per_floor_reference_on_every_cell(m, 
 def test_bar_filtration_over_every_block_equals_the_nonzero_blocks(m, n, blocks, k, s, monkeypatch):
     shortcut, every = _bar_complex(m, n, blocks, s), _bar_complex(m, n, blocks, s)
 
-    def every_block(k, top, keep=None):
-        return list(range(len(every._layout(k, top).codes)))
+    def no_ranks(q, top, keep=None):
+        return array("i", [0] * len(every._layout(q, top).codes))
 
-    # the filtration read from every block, zero ones included
-    monkeypatch.setattr(every, "nonzero_blocks", every_block)
+    # with every rank read as 0 every block counts as nonzero, so the
+    # filtration is read from every block, zero ones included
+    monkeypatch.setattr(every, "_block_ranks", no_ranks)
     for top in range(7):
-        all_blocks = range(len(every._layout(k, top).codes))
-        pieces = shortcut.graded_cohomology(k, top)
-        assert pieces == every.graded_cohomology(k, top)
+        pieces, matrices = shortcut.cohomology(k, top)
+        everywhere = every.cohomology(k, top)
+        assert pieces == everywhere[0]
+        assert all(m.nonzero == m.blocks for m in everywhere[1][-1:])
         # once the ranks are cached the buckets are assembled again
-        assert pieces == shortcut.graded_cohomology(k, top)
+        assert (pieces, matrices) == shortcut.cohomology(k, top)
     # with atoms the shortcut leaves blocks out; on the two v-only cells
     # every block of C^k carries cohomology
-    assert (len(shortcut.nonzero_blocks(k, 6)) < len(all_blocks)) == (n > 0)
+    assert (matrices[-1].nonzero < matrices[-1].blocks) == (n > 0)
 
 
-def test_bar_oracle_reports_the_block_shape_of_each_matrix():
+def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):
+    assembled = []
+    buckets = _BarComplex._buckets
+
+    def counted(bar, q, top):
+        assembled.append(q)
+        return buckets(bar, q, top)
+
+    monkeypatch.setattr(_BarComplex, "_buckets", counted)
     hc = HochschildComplex(ConnectedSumAlgebra(1, BooleanRing(3)))
     rep = hc.bar_oracle(2, -1, 6)
+    # a fresh nonzero cell assembles each of its two matrices once
+    assert sorted(assembled) == [1, 2]
     bar = hc._bar_cache[-1]
     assert [m.q for m in rep.matrices] == [1, 2]
     for m in rep.matrices:
@@ -541,8 +554,28 @@ def test_bar_oracle_reports_the_block_shape_of_each_matrix():
         assert (m.columns, m.blocks, m.widest) == (
             bar.cochain_dim(m.q, 6), len(layout.codes), max(layout.sizes)
         )
-    assert rep.matrices[1].nonzero == len(bar.nonzero_blocks(2, 6)) > 0
+    # the blocks read again are those whose size exceeds the rank of the
+    # coboundary out of them plus that into the block of their weight
+    into = dict(zip(bar._layout(1, 6).codes, bar._block_ranks(1, 6)))
+    layout = bar._layout(2, 6)
+    hot = [
+        w
+        for w, size, rank in zip(layout.codes, layout.sizes, bar._block_ranks(2, 6))
+        if size - rank - into.get(w, 0)
+    ]
+    assert rep.matrices[1].nonzero == len(hot) > 0
+    assert rep.matrices[0].nonzero == sum(w in into for w in hot)
     assert hh_bar_oracle(ConnectedSumAlgebra(0, BooleanRing(3)), 3, -1, 6).matrices[1].nonzero == 0
+    # k = 0: one matrix, no block below
+    rep = hc.bar_oracle(0, 1, 6)
+    layout = hc._bar_cache[1]._layout(0, 6)
+    assert [(m.q, m.columns, m.blocks) for m in rep.matrices] == [
+        (0, len(layout.block), len(layout.codes))
+    ]
+    # no 3-cochain has argument degree below 3, so the truncation at 2 is empty
+    rep = hc.bar_oracle(3, -1, 2)
+    assert rep.matrices == () and rep.skipped_from is None
+    assert [f.increment for f in rep.factors] == [0, 0, 0]
 
 
 def test_bar_complex_is_freed_with_its_hochschild_complex():
