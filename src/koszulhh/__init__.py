@@ -16,7 +16,6 @@ from .algebra import (
     ideal_decompose,
     ideal_membership,
 )
-from .caps import default_cap
 from .coboundary import (
     HeadTail,
     Orbit,
@@ -37,8 +36,6 @@ from .hochschild import (
     HhReport,
     HochschildComplex,
     KadeishviliReport,
-    hh_bar_oracle,
-    hh_dim,
     kadeishvili_check,
 )
 from .koszul import (
@@ -98,7 +95,6 @@ __all__ = [
     "admissible_sequences",
     "bottom_cocycles",
     "count_admissible",
-    "default_cap",
     "dg_algebra_from_dict",
     "dg_algebra_to_dict",
     "extend_cocycle",
@@ -107,8 +103,6 @@ __all__ = [
     "from_connected_sum",
     "graded_multiply",
     "head_tail",
-    "hh_bar_oracle",
-    "hh_dim",
     "ideal_decompose",
     "ideal_membership",
     "is_admissible",

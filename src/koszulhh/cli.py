@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import sys
 import time
@@ -20,9 +21,9 @@ import time
 from . import __version__ as VERSION
 from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring
 from .coboundary import extend_cocycle, extend_cocycle_split, solve_coboundary
-from .errors import CapExceeded, InvalidDefiningSystemError, NotACocycleError
+from .errors import CapExceeded
 from .gf2 import from01, to01
-from .hochschild import Cochain, HochschildComplex
+from .hochschild import Cochain, HochschildComplex, kadeishvili_check
 from .koszul import verify_koszul
 from .massey import (
     CohomologyClass,
@@ -176,28 +177,19 @@ def cmd_hh_grid(args) -> tuple[dict, int]:
 
 def cmd_kadeishvili(args) -> tuple[dict, int]:
     alg, subring = _build_algebra(args)
-    hc = HochschildComplex(alg, subring, cap=args.cap)
-    if args.k_max < 3:
-        raise UsageError("the obstruction range starts at k = 3")
-    results = []
-    failures = []
-    for k in range(3, args.k_max + 1):
-        rep = hc.hh(k, 2 - k)
-        results.append(_grid_row(rep))
-        if rep.cohomology:
-            failures.append((k, rep.cohomology))
-    if failures:
-        k, dim = failures[0]
-        summary = f"obstruction space at (k, s) = ({k}, {2 - k}) has dimension {dim}"
+    rep = kadeishvili_check(alg, args.k_max, subring, cap=args.cap)
+    if rep.failures:
+        k, s, dim = rep.failures[0]
+        summary = f"obstruction space at (k, s) = ({k}, {s}) has dimension {dim}"
     else:
         summary = f"all obstruction bidegrees vanish through k = {args.k_max}"
     report = {
         "manifest": _manifest(args, summary),
         "algebra": _algebra_info(alg, subring),
-        "results": results,
-        "passed": not failures,
+        "results": [_grid_row(r) for r in rep.rows],
+        "passed": rep.passed,
     }
-    return report, 1 if failures else 0
+    return report, 0 if rep.passed else 1
 
 
 def cmd_koszul_verify(args) -> tuple[dict, int]:
@@ -496,12 +488,14 @@ def _tuple_length(text: str) -> int:
     return value
 
 
-def _add_cap_opt(p: argparse.ArgumentParser, default: str = "KOSZULHH_CAP") -> None:
+def _add_cap_opt(
+    p: argparse.ArgumentParser, default: str = "caps.DEFAULT_CAP, 2,000,000 sequences"
+) -> None:
     p.add_argument(
         "--cap",
         type=_positive_int,
         default=None,
-        help=f"size guard override (default from {default})",
+        help=f"size guard override (default {default})",
     )
 
 
@@ -541,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--max-internal-degree", type=int, default=8)
-    _add_cap_opt(p, "KOSZULHH_BAR_CAP")
+    _add_cap_opt(p, "caps.DEFAULT_BAR_CAP, a bar workload of 250,000")
     _add_output_opts(p)
     p.set_defaults(func=cmd_bar_oracle)
 
@@ -590,12 +584,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(args) -> None:
+    """Reject a --format or --out the report cannot take, before any work."""
+    if args.format == "csv" and args.command not in CSV_VIEWS:
+        raise UsageError(f"{args.command} has no CSV form")
+    if args.out:
+        if os.path.isdir(args.out):
+            raise UsageError(f"cannot write the report: {args.out!r} is a directory")
+        folder = os.path.dirname(args.out) or "."
+        if not os.path.isdir(folder):
+            raise UsageError(f"cannot write the report: no directory {folder!r}")
+
+
 def _render(report: dict, args) -> str:
-    if getattr(args, "format", "json") == "csv":
-        view = CSV_VIEWS.get(args.command)
-        if view is None:
-            raise UsageError(f"{args.command} has no CSV form")
-        key, header = view
+    if args.format == "csv":
+        key, header = CSV_VIEWS[args.command]
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -611,8 +614,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
-    started = time.perf_counter()
     try:
+        _check_output(args)
+        started = time.perf_counter()
         report, code = args.func(args)
         report["manifest"]["wallTimeMs"] = int((time.perf_counter() - started) * 1000)
         text = _render(report, args)
@@ -625,9 +629,6 @@ def main(argv=None) -> int:
     except AssertionError as e:
         print(f"verification failed: {e}", file=sys.stderr)
         return 1
-    except (UsageError, NotACocycleError, InvalidDefiningSystemError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -258,7 +258,7 @@ def extend_cocycle_split(
     new = old.adjoin(x)
     if new == old:
         return hc, f
-    hc2 = HochschildComplex(hc.alg, new)
+    hc2 = HochschildComplex(hc.alg, new, hc.cap)
     v_dim = hc.alg.v_dim
     near = (x << v_dim) | ((1 << v_dim) - 1)
     total = _transport(hc, hc2, x, Cochain(f.k, f.s, tuple(v & near for v in f.values)))

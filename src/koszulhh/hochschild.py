@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring, graded_multiply
-from .caps import bar_cap, default_cap
+from .caps import DEFAULT_BAR_CAP
 from .gf2 import EchelonBasis, echelon_rank, index_code, pair_components, sparse_rank
 from .koszul import SequenceLinks, capped_count, count_admissible, sequence_links
 
@@ -87,6 +87,7 @@ class KadeishviliReport:
     max_k: int
     passed: bool
     failures: tuple  # (k, s, cohomology dim)
+    rows: tuple[HhReport, ...]  # one per k = 3 .. max_k
 
 
 @dataclass(frozen=True)
@@ -185,7 +186,8 @@ class HochschildComplex:
 
     With subring=None the coefficient algebra equals the module algebra; with
     a subring, sequences run over its blocks and the blocks act through their
-    atom masks.
+    atom masks.  cap bounds the admissible sequences of one piece (None:
+    caps.DEFAULT_CAP).
     """
 
     def __init__(self, alg: ConnectedSumAlgebra, subring: Subring | None = None, cap: int | None = None):
@@ -196,7 +198,7 @@ class HochschildComplex:
                 raise ValueError("subring belongs to a different Boolean ring")
         self.alg = alg
         self.subring = subring
-        self.cap = default_cap() if cap is None else cap
+        self.cap = cap
         if subring is not None:
             self.blocks = subring.blocks
         elif alg.ring is not None:
@@ -384,7 +386,7 @@ class HochschildComplex:
             raise ValueError("negative cohomological degree")
         if max_internal_degree < 0:
             raise ValueError("negative internal degree")
-        cap = bar_cap() if cap is None else cap
+        cap = DEFAULT_BAR_CAP if cap is None else cap
         bar = self._bar_cache.get(s)
         if bar is None:
             bar = _BarComplex(self, s)
@@ -797,31 +799,13 @@ class _BarComplex:
         return pieces, tuple(matrices)
 
 
-def hh_dim(alg: ConnectedSumAlgebra, k: int, s: int, subring: Subring | None = None) -> int:
-    return HochschildComplex(alg, subring).hh(k, s).cohomology
-
-
 def kadeishvili_check(
-    alg: ConnectedSumAlgebra, max_k: int, subring: Subring | None = None
+    alg: ConnectedSumAlgebra, max_k: int, subring: Subring | None = None, cap: int | None = None
 ) -> KadeishviliReport:
     """Vanishing of every obstruction bidegree (k, 2-k), 3 <= k <= max_k."""
     if max_k < 3:
         raise ValueError("the obstruction range starts at k = 3")
-    hc = HochschildComplex(alg, subring)
-    failures = []
-    for k in range(3, max_k + 1):
-        rep = hc.hh(k, 2 - k)
-        if rep.cohomology != 0:
-            failures.append((k, 2 - k, rep.cohomology))
-    return KadeishviliReport(max_k, not failures, tuple(failures))
-
-
-def hh_bar_oracle(
-    alg: ConnectedSumAlgebra,
-    k: int,
-    s: int,
-    max_internal_degree: int,
-    subring: Subring | None = None,
-    cap: int | None = None,
-) -> BarReport:
-    return HochschildComplex(alg, subring).bar_oracle(k, s, max_internal_degree, cap)
+    hc = HochschildComplex(alg, subring, cap)
+    rows = tuple(hc.hh(k, 2 - k) for k in range(3, max_k + 1))
+    failures = tuple((r.k, r.s, r.cohomology) for r in rows if r.cohomology)
+    return KadeishviliReport(max_k, not failures, failures, rows)

@@ -125,7 +125,7 @@ def child_position(m: int, n: int, j: int, p: int, g: int) -> int:
 
 
 def capped_count(m: int, n: int, k: int, cap: int | None = None) -> int:
-    """count_admissible, raising CapExceeded above cap (default_cap() when None)."""
+    """count_admissible, raising CapExceeded above cap (caps.DEFAULT_CAP when None)."""
     return check_cap("admissible sequence enumeration", count_admissible(m, n, k), cap)
 
 

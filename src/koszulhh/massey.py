@@ -516,7 +516,7 @@ def massey_product_set(
     spans = {slot: alg.cocycle_basis(ds.expected_degree(*slot)) for slot in slots}
     freedom = sum(len(span) for span in spans.values())
     message = f"enumerating 2**{freedom} defining systems exceeds the cap"
-    check_cap(message, 1 << freedom, cap, lambda: MASSEY_CAP)
+    check_cap(message, 1 << freedom, cap, MASSEY_CAP)
     outer = [slot for slot in slots if slot[1] - slot[0] == n - 1]
     inner = [slot for slot in slots if slot[1] - slot[0] < n - 1]
     # every sum of each inner slot's cocycles, built once

@@ -9,8 +9,8 @@ import pytest
 from koszulhh import cli, coboundary, koszul
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
-from koszulhh.hochschild import Cochain, HochschildComplex
-from koszulhh.koszul import admissible_tuples
+from koszulhh.hochschild import Cochain, HochschildComplex, _BarComplex
+from koszulhh.koszul import admissible_tuples, count_admissible
 from koszulhh.gf2 import to01
 from koszulhh.massey import dg_algebra_to_dict, from_connected_sum
 from koszulhh.massey import extend_with_acyclic_pairs
@@ -101,6 +101,37 @@ def test_unwritable_out_exits_2_without_traceback(capsys, tmp_path, target):
     assert err.startswith("error: cannot write the report:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("extra", [("--format", "csv"), ("--out", "missing/r.json"), ("--out", "")])
+def test_output_errors_exit_2_before_computing(capsys, monkeypatch, tmp_path, extra):
+    # an --out names a file in a missing directory, or the directory itself
+    def never(args):
+        pytest.fail("the computation ran before the output was checked")
+
+    monkeypatch.setattr(cli, "cmd_massey", never)
+    if extra[0] == "--out":
+        extra = ("--out", str(tmp_path / extra[1]))
+    code, out, err = run(capsys, "massey", "--atoms", "3", "--strong-check", "--samples", "3000", *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_directory_removed_during_the_run_exits_2(capsys, monkeypatch, tmp_path):
+    folder = tmp_path / "gone"
+    folder.mkdir()
+    compute = cli.cmd_hh_grid
+
+    def racing(args):
+        folder.rmdir()
+        return compute(args)
+
+    monkeypatch.setattr(cli, "cmd_hh_grid", racing)
+    target = str(folder / "r.json")
+    code, printed, err = run(capsys, "hh-grid", "--atoms", "1", "--k-max", "1", "--out", target)
+    assert code == 2 and printed == ""
+    assert err.startswith("error: cannot write the report:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -138,13 +169,44 @@ def test_cap_option_must_be_a_positive_integer(capsys, cap):
         assert code == 2 and out == "" and "--cap" in err
 
 
-@pytest.mark.parametrize("value, message", [("-1", "must be positive"), ("0", "must be positive"),
-                                            ("lots", "must be an integer")])
-def test_bar_cap_environment_is_validated(capsys, monkeypatch, value, message):
-    monkeypatch.setenv("KOSZULHH_BAR_CAP", value)
-    code, out, err = run(capsys, "bar-oracle", "--atoms", "3", "--k", "2", "--s", "-1")
-    assert code == 2 and out == ""
-    assert err.startswith(f"error: KOSZULHH_BAR_CAP {message}") and err.count("\n") == 1
+# (argv, the smallest --cap that runs it): a Koszul grid through degree k
+# reads the length-(k + 1) sequences
+CAP_NEEDS = [
+    (("hh-grid", "--atoms", "3", "--k-max", "3", "--s-min", "-1", "--s-max", "0"),
+     count_admissible(0, 3, 4)),
+    (("kadeishvili", "--atoms", "3", "--k-max", "3"), count_admissible(0, 3, 4)),
+    (("koszul-verify", "--v-dim", "1", "--atoms", "2", "--max-internal-degree", "4"),
+     count_admissible(1, 2, 4)),
+    (("solve-coboundary", "--atoms", "3", "--k", "3", "--s", "-1", "--random", "--seed", "5"),
+     count_admissible(0, 3, 4)),
+    # two interior slots, a(1,3) and a(2,4), each with 3 degree-1 cocycles
+    (("massey", "--atoms", "3", "--top", "4", "--classes", "1:100,1:010,1:001", "--enumerate"),
+     2**6),
+    # the two blocks of the coarse complex need 2 sequences, the refined complex 24
+    *(
+        (("extend-cocycle", "--atoms", "3", "--blocks", "x1+x2,x3", "--adjoin", "x1",
+          "--k", "3", "--random", "--mode", mode), count_admissible(0, 3, 4))
+        for mode in ("split", "branch")
+    ),
+    (("bar-oracle", "--atoms", "3", "--k", "2", "--s", "-1", "--max-internal-degree", "5"),
+     _BarComplex(HochschildComplex(ConnectedSumAlgebra(0, BooleanRing(3))), -1).workload(2, 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, need",
+    CAP_NEEDS,
+    ids=[a[0] + (f"-{a[-1]}" if a[0] == "extend-cocycle" else "") for a, _ in CAP_NEEDS],
+)
+def test_cap_just_below_the_need(capsys, argv, need):
+    code, out, err = run(capsys, *argv, "--cap", str(need - 1))
+    if argv[0] == "bar-oracle":
+        # the bar oracle truncates instead of failing
+        assert code == 0 and json.loads(out)["skippedFrom"] == 5
+    else:
+        assert code == 3 and out == "" and err.startswith("cap exceeded:")
+    code, out, err = run(capsys, *argv, "--cap", str(need))
+    assert code == 0 and err == "" and json.loads(out).get("skippedFrom") is None
 
 
 def test_kadeishvili(capsys):

@@ -16,8 +16,6 @@ from koszulhh.hochschild import (
     HochschildComplex,
     _action_rows,
     _BarComplex,
-    hh_bar_oracle,
-    hh_dim,
     kadeishvili_check,
 )
 from koszulhh.koszul import admissible_tuples, count_admissible
@@ -193,9 +191,10 @@ def test_hh_dimension_grid_frozen():
         (2, -1): 8,
         (3, -2): 20,
     }
+    hc = HochschildComplex(alg)
     for k in range(5):
         for s in range(-2, 3):
-            assert hh_dim(alg, k, s) == expected.get((k, s), 0)
+            assert hc.hh(k, s).cohomology == expected.get((k, s), 0)
 
 
 def test_hh_report_rank_bookkeeping():
@@ -209,17 +208,17 @@ def test_hh_with_coarser_coefficient_subring():
     ring = BooleanRing(3)
     coarse = Subring.trivial(ring).adjoin(ring.atom(0) | ring.atom(1))
     alg = ConnectedSumAlgebra(0, ring)
-    assert hh_dim(alg, 2, -1, coarse) == 1
-    assert hh_dim(alg, 2, -1) == 3
-    assert hh_dim(alg, 1, 0, coarse) == 3
+    assert HochschildComplex(alg, coarse).hh(2, -1).cohomology == 1
+    assert HochschildComplex(alg).hh(2, -1).cohomology == 3
+    assert HochschildComplex(alg, coarse).hh(1, 0).cohomology == 3
 
 
 def test_dual_algebra_vanishing_above_the_diagonal():
-    alg = ConnectedSumAlgebra(2)
+    hc = HochschildComplex(ConnectedSumAlgebra(2))
     for k in range(6):
         for s in range(2 - k, 5 - k):
-            assert hh_dim(alg, k, s) == 0
-    assert hh_dim(alg, 0, 0) == 1
+            assert hc.hh(k, s).cohomology == 0
+    assert hc.hh(0, 0).cohomology == 1
 
 
 def test_cochain_bits_round_trip():
@@ -279,7 +278,7 @@ def test_differential_matrix_shape():
 
 def test_bar_factors_zero_bidegree_all_vanish():
     alg = ConnectedSumAlgebra(0, BooleanRing(3))
-    rep = hh_bar_oracle(alg, 3, -1, 8)
+    rep = HochschildComplex(alg).bar_oracle(3, -1, 8)
     assert rep.skipped_from is None
     assert all(f.increment == 0 for f in rep.factors)
     assert rep.total == 0
@@ -287,22 +286,23 @@ def test_bar_factors_zero_bidegree_all_vanish():
 
 def test_bar_factors_concentrate_at_the_expected_degree():
     alg = ConnectedSumAlgebra(0, BooleanRing(3))
-    rep = hh_bar_oracle(alg, 2, -1, 8)
+    hc = HochschildComplex(alg)
+    rep = hc.bar_oracle(2, -1, 8)
     assert [f.increment for f in rep.factors] == [0, 0, 3, 0, 0, 0, 0, 0, 0]
-    assert rep.total == hh_dim(alg, 2, -1) == 3
-    rep2 = hh_bar_oracle(alg, 3, -2, 8)
+    assert rep.total == hc.hh(2, -1).cohomology == 3
+    rep2 = hc.bar_oracle(3, -2, 8)
     assert [f.increment for f in rep2.factors] == [0, 0, 0, 6, 0, 0, 0, 0, 0]
 
 
 def test_bar_degree_zero_class_of_the_unit():
     alg = ConnectedSumAlgebra(1, BooleanRing(3))
-    rep = hh_bar_oracle(alg, 0, 0, 4)
+    rep = HochschildComplex(alg).bar_oracle(0, 0, 4)
     assert [f.increment for f in rep.factors] == [1, 0, 0, 0, 0]
 
 
 def test_bar_cumulative_partial_sums():
     alg = ConnectedSumAlgebra(1, BooleanRing(3))
-    rep = hh_bar_oracle(alg, 2, -1, 6)
+    rep = HochschildComplex(alg).bar_oracle(2, -1, 6)
     running = 0
     for f in rep.factors:
         running += f.increment
@@ -312,7 +312,7 @@ def test_bar_cumulative_partial_sums():
 
 def test_bar_cap_reports_reduced_truncation():
     alg = ConnectedSumAlgebra(1, BooleanRing(3))
-    rep = hh_bar_oracle(alg, 3, -1, 8, cap=2_000)
+    rep = HochschildComplex(alg).bar_oracle(3, -1, 8, cap=2_000)
     assert rep.skipped_from is not None
     assert rep.max_internal_degree == 8
     assert len(rep.factors) == rep.skipped_from
@@ -565,7 +565,8 @@ def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):
     ]
     assert rep.matrices[1].nonzero == len(hot) > 0
     assert rep.matrices[0].nonzero == sum(w in into for w in hot)
-    assert hh_bar_oracle(ConnectedSumAlgebra(0, BooleanRing(3)), 3, -1, 6).matrices[1].nonzero == 0
+    zero_cell = HochschildComplex(ConnectedSumAlgebra(0, BooleanRing(3))).bar_oracle(3, -1, 6)
+    assert zero_cell.matrices[1].nonzero == 0
     # k = 0: one matrix, no block below
     rep = hc.bar_oracle(0, 1, 6)
     layout = hc._bar_cache[1]._layout(0, 6)
@@ -587,8 +588,7 @@ def test_bar_complex_is_freed_with_its_hochschild_complex():
     assert ref() is None
 
 
-def test_admissible_enumeration_respects_global_cap(monkeypatch):
-    monkeypatch.setenv("KOSZULHH_CAP", "50")
+def test_admissible_enumeration_respects_global_cap():
     alg = ConnectedSumAlgebra(2, BooleanRing(3))
     with pytest.raises(CapExceeded):
-        HochschildComplex(alg).hh(5, -3)
+        HochschildComplex(alg, cap=50).hh(5, -3)

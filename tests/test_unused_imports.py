@@ -29,8 +29,8 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_the_check_finds_an_unused_import():
-    source = "import os.path\nfrom .caps import bar_cap, default_cap as cap\nos.sep, cap()\n"
-    assert unused_imports(source) == ["bar_cap"]
+    source = "import os.path\nfrom .caps import MASSEY_CAP, check_cap as check\nos.sep, check()\n"
+    assert unused_imports(source) == ["MASSEY_CAP"]
 
 
 @pytest.mark.parametrize("module", MODULES)
