@@ -43,7 +43,6 @@ from .koszul import (
     admissible_in_generic_span,
     admissible_sequences,
     count_admissible,
-    is_admissible,
     koszul_space_generic,
     verify_koszul,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "head_tail",
     "ideal_decompose",
     "ideal_membership",
-    "is_admissible",
     "kadeishvili_check",
     "koszul_space_generic",
     "lift_coboundary",

@@ -57,13 +57,6 @@ class BooleanRing:
     def complement(self, x: int) -> int:
         return self.one ^ self.check(x)
 
-    def is_atom(self, x: int) -> bool:
-        return x != 0 and (x & (x - 1)) == 0
-
-    def atoms_below(self, x: int) -> list[int]:
-        self.check(x)
-        return [1 << i for i in range(self.atom_count) if (x >> i) & 1]
-
     def elements(self) -> Iterator[int]:
         if self.atom_count > 20:
             raise ValueError("element enumeration is only for small rings")
@@ -156,23 +149,6 @@ class Subring:
                 if (mask >> i) & 1:
                     acc |= b
             yield acc
-
-    def embed(self, x: int) -> int:
-        """Map a bitset over blocks to the ambient bitset it denotes."""
-        acc = 0
-        for i, b in enumerate(self.blocks):
-            if (x >> i) & 1:
-                acc |= b
-        return acc
-
-    def abstract_ring(self) -> BooleanRing:
-        return BooleanRing(self.atom_count)
-
-    def block_index_of_atom(self, ambient_atom: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if b & (1 << ambient_atom):
-                return i
-        raise IndexError(ambient_atom)
 
     def adjoin(self, x: int) -> "Subring":
         """Smallest subring containing this one and the element x."""
@@ -269,12 +245,6 @@ class ConnectedSumAlgebra:
         if j == 1:
             return self.generator_labels()
         return [f"x{a + 1}" for a in range(self.atom_count)]
-
-    def is_atom_generator(self, gen_index: int) -> bool:
-        """Generators are indexed 0..gen_count-1, v-part first."""
-        if not 0 <= gen_index < self.gen_count:
-            raise IndexError(gen_index)
-        return gen_index >= self.v_dim
 
     def one(self) -> GradedElement:
         return GradedElement(0, 1)

@@ -48,6 +48,14 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose rejections raise UsageError instead of
+    printing the usage block and exiting, so main reports them in one line."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 # -- input parsing ---------------------------------------------------------
 
 
@@ -221,14 +229,20 @@ def cmd_bar_oracle(args) -> tuple[dict, int]:
     alg, subring = _build_algebra(args)
     hc = HochschildComplex(alg, subring)
     rep = hc.bar_oracle(args.k, args.s, args.max_internal_degree, cap=args.cap)
-    koszul_side = hc.hh(args.k, args.s).cohomology
+    try:
+        koszul_side = hc.hh(args.k, args.s).cohomology
+        graded = f"graded model gives {koszul_side}"
+    except CapExceeded as e:
+        # --cap is the bar cap; the Koszul side keeps its own default
+        koszul_side = None
+        graded = f"graded model skipped: {e} needs {e.needed:,}, over its cap {e.cap:,}"
     factors = [
         {"d": f.d, "increment": f.increment, "cumulative": f.cumulative}
         for f in rep.factors
     ]
     summary = (
         f"cumulative dimension {rep.total} through degree "
-        f"{rep.factors[-1].d if rep.factors else -1}; graded model gives {koszul_side}"
+        f"{rep.factors[-1].d if rep.factors else -1}; {graded}"
     )
     if rep.skipped_from is not None:
         summary += f"; degrees from {rep.skipped_from} skipped by the cap"
@@ -397,7 +411,6 @@ def _replay_args(parser: argparse.ArgumentParser, params: dict) -> argparse.Name
     def reject(message: str):
         raise UsageError(f"unusable report file: {message}")
 
-    parser.error = reject
     fields = {a.dest: a.option_strings[0] for a in parser._actions if a.dest not in ("help", "out")}
     if params.keys() - fields.keys():
         reject(f"no such parameter {sorted(params.keys() - fields.keys())[0]}")
@@ -410,7 +423,10 @@ def _replay_args(parser: argparse.ArgumentParser, params: dict) -> argparse.Name
             argv.append(opt)
         elif value is not None and value is not False:
             argv.append(f"{opt}={value}")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except UsageError as e:
+        reject(str(e))
     for dest in fields:
         value, parsed = params[dest], getattr(args, dest)
         if type(parsed) is not type(value) or parsed != value:
@@ -500,7 +516,7 @@ def _add_cap_opt(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="koszulhh",
         description="Exact bigraded Hochschild cohomology of Boolean connected sums",
     )
@@ -609,17 +625,15 @@ def _render(report: dict, args) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 0 if e.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         _check_output(args)
         started = time.perf_counter()
         report, code = args.func(args)
         report["manifest"]["wallTimeMs"] = int((time.perf_counter() - started) * 1000)
         text = _render(report, args)
+    except SystemExit as e:  # --help and --version; _Parser raises UsageError for the rest
+        return 0 if e.code in (0, None) else 2
     except CapExceeded as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return 3

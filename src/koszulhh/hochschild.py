@@ -21,15 +21,18 @@ by their atom masks.
 
 A reduced bar-complex oracle recomputes the same cohomology independently,
 internal degree by internal degree, as a cross-check on the Koszul route.
-Its coboundary preserves a multidegree weight, so every truncated matrix
-splits into a few hundred weight blocks.  Rows are assembled once, packed
-on the local columns of their block, and each block is eliminated on its
-own; the per-block ranks are cached per (q, top), so a zero cell costs one
-elimination per nonempty block.  The argument-degree filtration is the sum
-over blocks, and a block with zero cohomology contributes nothing, so only
-the blocks with nonzero cohomology get one more pass: the highest-bit
-pivots of the k-th coboundary give the rank of every column suffix, and the
-rank after each output degree of the (k-1)-th gives every row prefix.
+Bar words are numbered, not stored: by degree composition, then in mixed
+radix over their factor indices, so a word's truncations and merges are
+arithmetic on its number.  The coboundary preserves a multidegree weight,
+so every truncated matrix splits into a few hundred weight blocks.  Rows
+are assembled once, packed on the local columns of their block, and each
+block is eliminated on its own; the per-block ranks are cached per (q, top),
+so a zero cell costs one elimination per nonempty block.  The
+argument-degree filtration is the sum over blocks, and a block with zero
+cohomology contributes nothing, so only the blocks with nonzero cohomology
+get one more pass: the highest-bit pivots of the k-th coboundary give the
+rank of every column suffix, and the rank after each output degree of the
+(k-1)-th gives every row prefix.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring, graded_multiply
@@ -436,7 +441,8 @@ class _BarComplex:
     algebra, tagged (degree, index).  Global columns of the q-th coboundary
     run through the argument degrees in ascending order, so the truncation at
     degree top is the leading run of columns and the rows of output degree
-    <= top.
+    <= top.  Within degree e, column (word number) * dim + c holds module
+    coordinate c; words are numbered by _shapes and never built as tuples.
 
     The coboundary preserves weight.  A coordinate (word t, module coordinate
     c) has weight mdeg(c) - mdeg(t), where v_i has multidegree e_(v_i) and a
@@ -448,8 +454,8 @@ class _BarComplex:
     those local indices and appended to their block's bucket; each bucket is
     eliminated on its own, and the per-block ranks are cached per (q, top),
     so adjacent bidegrees share them.  Tensor counts, cochain dimensions,
-    bases, their indices and the layouts are memoized per instance, so a
-    complex is freed together with its HochschildComplex.
+    shapes and layouts are memoized per instance, so a complex is freed
+    together with its HochschildComplex.
     """
 
     def __init__(self, hc: HochschildComplex, s: int):
@@ -463,8 +469,7 @@ class _BarComplex:
         self._rank_cache: dict = {}
         self._count_cache: dict = {}
         self._dim_cache: dict = {}
-        self._basis_cache: dict = {}
-        self._index_cache: dict = {}
+        self._shape_cache: dict = {}
         self._layout_cache: dict = {}
 
     def q_dim(self, e: int) -> int:
@@ -485,29 +490,30 @@ class _BarComplex:
             self._count_cache[key] = hit
         return hit
 
-    def basis(self, q: int, e: int) -> list[tuple]:
-        key = (q, e)
-        hit = self._basis_cache.get(key)
-        if hit is not None:
-            return hit
-        if q == 0:
-            out = [()] if e == 0 else []
-        else:
-            out = []
-            for d1 in range(1, e - q + 2):
-                for i in range(self.q_dim(d1)):
-                    head = (d1, i)
-                    for rest in self.basis(q - 1, e - d1):
-                        out.append((head,) + rest)
-        self._basis_cache[key] = out
-        return out
+    def _shapes(self, q: int, e: int) -> dict[tuple, tuple[int, tuple]]:
+        """Degree composition (d_1 .. d_q) -> (first word, radices) of its run.
 
-    def index_map(self, q: int, e: int) -> dict:
+        The q-factor words of degree e run through the compositions of e that
+        have words, in lexicographic order; within a run a word is the
+        mixed-radix number of its factor indices, radix q_dim(d_j) at place j.
+        """
         key = (q, e)
-        hit = self._index_cache.get(key)
+        hit = self._shape_cache.get(key)
         if hit is None:
-            hit = {t: i for i, t in enumerate(self.basis(q, e))}
-            self._index_cache[key] = hit
+            hit = {}
+            if q == 0:
+                if e == 0:
+                    hit[()] = (0, ())
+            else:
+                start = 0
+                for d1 in range(1, e - q + 2):
+                    n = self.q_dim(d1)
+                    if not n:
+                        continue
+                    for rest, (_, radices) in self._shapes(q - 1, e - d1).items():
+                        hit[(d1,) + rest] = (start, (n,) + radices)
+                        start += n * prod(radices)
+            self._shape_cache[key] = hit
         return hit
 
     def module_dim(self, j: int) -> int:
@@ -536,23 +542,42 @@ class _BarComplex:
             out = max(out, a + b)
         return out
 
-    def _factors(self, e: int) -> list[tuple[int, int]]:
-        """Every tensor factor of degree <= e."""
-        return [(d1, i) for d1 in range(1, e + 1) for i in range(self.q_dim(d1))]
-
-    def _factor_element(self, factor: tuple[int, int]) -> GradedElement:
-        d1, i = factor
-        if d1 == 1:
+    def _factor_element(self, d: int, i: int) -> GradedElement:
+        """Tensor factor i of degree d: generator i in degree 1, else block i."""
+        if d == 1:
             return self.hc.generator_element(i)
-        return self.hc.alg.element(d1, self.hc.blocks[i])
+        return self.hc.alg.element(d, self.hc.blocks[i])
 
-    def _product(self, f1: tuple[int, int], f2: tuple[int, int]):
-        """The factor merging two adjacent ones, or None when their product is
-        zero: a v kills everything and distinct blocks are orthogonal."""
-        b1, b2 = (i - self.hc.m if d1 == 1 else i for d1, i in (f1, f2))
-        if b1 < 0 or b1 != b2:
-            return None
-        return (f1[0] + f2[0], b1)
+    def _links(self, q: int, e: int) -> Iterator[tuple]:
+        """(w[0], pos(w[1:]), w[-1], pos(w[:-1]), positions of the nonzero
+        merges) for each (q+1)-factor word w of degree e, in word order.
+
+        A factor is (degree, index); a position numbers the q-factor words
+        of its degree.  Adjacent factors merge only within one block b (a v
+        kills everything, distinct blocks are orthogonal).  On the number v
+        of w in its run, w[1:] and w[:-1] drop the first and last digit, and
+        a merge at i puts digit b (radix nj) in place of digits i, i+1.
+        """
+        m, nj = self.hc.m, self.hc.nj
+        merged_shapes = self._shapes(q, e)
+        for comp, (_, radices) in self._shapes(q + 1, e).items():
+            head = self._shapes(q, e - comp[0])[comp[1:]][0]
+            tail = self._shapes(q, e - comp[-1])[comp[:-1]][0]
+            head_mod, tail_div = prod(radices[1:]), radices[-1]
+            merges = []  # (i, start of the merged run, block offsets of digits i, i+1, lo, span)
+            for i in range(q if nj else 0):
+                lo = prod(radices[i + 2 :])
+                start = merged_shapes[comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]][0]
+                off1, off2 = (m if d == 1 else 0 for d in comp[i : i + 2])
+                merges.append((i, start, off1, off2, lo, radices[i] * radices[i + 1] * lo))
+            for v, digits in enumerate(product(*map(range, radices))):
+                joined = []
+                for i, start, off1, off2, lo, span in merges:
+                    b = digits[i] - off1
+                    if b >= 0 and b == digits[i + 1] - off2:
+                        joined.append(start + (v // span * nj + b) * lo + v % lo)
+                first, last = (comp[0], digits[0]), (comp[-1], digits[-1])
+                yield first, head + v % head_mod, last, tail + v // tail_div, joined
 
     # -- weight blocks -------------------------------------------------------
 
@@ -587,9 +612,10 @@ class _BarComplex:
         if hit is not None:
             return hit
         radix = 2 * (top + abs(self.s)) + 3
-        factor_code = {
-            f: self._weight_code(self._factor_element(f), radix) for f in self._factors(top)
-        }
+        factor_codes = [
+            [self._weight_code(self._factor_element(d, i), radix) for i in range(self.q_dim(d))]
+            for d in range(top + 1)
+        ]
         ids: dict[int, int] = {}
         codes: list[int] = []
         counts: list[int] = []
@@ -605,18 +631,19 @@ class _BarComplex:
             ]
             if not module:
                 continue
-            for t in self.basis(q, e):
-                word = sum(map(factor_code.__getitem__, t))
-                for c_code in module:
-                    w = c_code - word
-                    b = ids.get(w)
-                    if b is None:
-                        b = ids[w] = len(codes)
-                        codes.append(w)
-                        counts.append(0)
-                    block.append(b)
-                    local.append(counts[b])
-                    counts[b] += 1
+            for comp in self._shapes(q, e):
+                for word_codes in product(*map(factor_codes.__getitem__, comp)):
+                    word = sum(word_codes)
+                    for c_code in module:
+                        w = c_code - word
+                        b = ids.get(w)
+                        if b is None:
+                            b = ids[w] = len(codes)
+                            codes.append(w)
+                            counts.append(0)
+                        block.append(b)
+                        local.append(counts[b])
+                        counts[b] += 1
         starts.append(counts)
         starts = [array("i", s + [0] * (len(codes) - len(s))) for s in starts]
         hit = _Layout(block, local, codes, starts)
@@ -636,48 +663,37 @@ class _BarComplex:
         if not dim_out or not self.tensor_count(q + 1, e):
             return
         block, local = layout.block, layout.local
-        factors = self._factors(e)
         # per acting factor: (output coordinate, input column) pairs of its
         # action, and the input degree run it reads
         acting = {}
-        for f in factors:
-            e_in = e - f[0]
-            dim_in = self.module_dim(e_in + self.s)
+        for d in range(1, e + 1):
+            dim_in = self.module_dim(e - d + self.s)
             if not dim_in:
                 continue
-            act = _action_rows(self.hc.alg, self._factor_element(f), e_in + self.s)
-            pairs = [(r, row.bit_length() - 1) for r, row in enumerate(act) if row]
-            if pairs:
-                acting[f] = (pairs, self.index_map(q, e_in), self.degree_offset(q, e_in), dim_in)
-        products = {}
-        for f1 in factors:
-            for f2 in factors:
-                prod = self._product(f1, f2)
-                if prod is not None:
-                    products[(f1, f2)] = prod
+            for i in range(self.q_dim(d)):
+                act = _action_rows(self.hc.alg, self._factor_element(d, i), e - d + self.s)
+                pairs = [(r, row.bit_length() - 1) for r, row in enumerate(act) if row]
+                if pairs:
+                    acting[(d, i)] = (pairs, self.degree_offset(q, e - d), dim_in)
         base_off = self.degree_offset(q, e)
-        index_e = self.index_map(q, e)
-        for w in self.basis(q + 1, e):
+        for first, head, last, tail, joined in self._links(q, e):
             row = [0] * dim_out
             at = [0] * dim_out  # a global column of each row's entries
             # outer terms: first factor acts on the right-truncated input,
             # last factor on the left-truncated input
-            for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
-                act = acting.get(w_act)
+            for f, pos in ((first, head), (last, tail)):
+                act = acting.get(f)
                 if act is None:
                     continue
-                pairs, index_in, off, dim_in = act
-                base = off + index_in[rest] * dim_in
+                pairs, off, dim_in = act
+                base = off + pos * dim_in
                 for r, c in pairs:
                     col = base + c
                     row[r] ^= 1 << local[col]
                     at[r] = col
             # inner terms: merge adjacent factors, module coordinate unchanged
-            for i in range(q):
-                prod = products.get(w[i : i + 2])
-                if prod is None:
-                    continue
-                base = base_off + index_e[w[:i] + (prod,) + w[i + 2 :]] * dim_out
+            for pos in joined:
+                base = base_off + pos * dim_out
                 for r in range(dim_out):
                     col = base + r
                     row[r] ^= 1 << local[col]

@@ -48,11 +48,6 @@ def count_admissible(m: int, n: int, k: int) -> int:
     return u + w
 
 
-def is_admissible(seq: tuple[int, ...], m: int) -> bool:
-    """Entries >= m are atom-tagged; equal adjacent atoms are forbidden."""
-    return all(not (a == b and a >= m) for a, b in zip(seq, seq[1:]))
-
-
 class SequenceLinks(NamedTuple):
     """Per admissible sequence u, in lex order: u[0], u[-1], pos(u[1:]), pos(u[:-1]).
 

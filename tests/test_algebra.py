@@ -24,8 +24,6 @@ def test_boolean_ring_masks_and_operations():
     assert r.product(0b011, 0b110) == 0b010
     assert r.add(0b011, 0b110) == 0b101
     assert r.complement(0b010) == 0b101
-    assert r.is_atom(0b100) and not r.is_atom(0b101)
-    assert r.atoms_below(0b101) == [0b001, 0b100]
     assert len(list(r.elements())) == 8
 
 
@@ -78,16 +76,6 @@ def test_subring_adjoin_refines_and_is_idempotent():
     assert s.contains(0b011) and not s.contains(0b001)
 
 
-def test_subring_embed_and_abstract_ring():
-    r = BooleanRing(3)
-    s = Subring.trivial(r).adjoin(0b011)
-    assert s.abstract_ring() == BooleanRing(2)
-    assert s.embed(0b01) == 0b011
-    assert s.embed(0b10) == 0b100
-    assert s.block_index_of_atom(0) == 0
-    assert s.block_index_of_atom(2) == 1
-
-
 def test_subring_elements_are_block_unions():
     r = BooleanRing(3)
     s = Subring.trivial(r).adjoin(0b011)
@@ -117,7 +105,6 @@ def test_generator_labels_and_layout():
     assert alg.generator_labels() == ["v1", "x1", "x2", "x3"]
     assert alg.basis_labels(1) == ["v1", "x1", "x2", "x3"]
     assert alg.basis_labels(2) == ["x1", "x2", "x3"]
-    assert not alg.is_atom_generator(0) and alg.is_atom_generator(1)
 
 
 def test_element_rejects_out_of_range_bits():

@@ -300,6 +300,19 @@ def test_bar_oracle_cap_truncates(capsys):
     assert rep["koszulHh"] == 3
 
 
+def test_bar_oracle_reports_no_koszul_side_over_its_cap(capsys):
+    # --cap is the bar cap; the Koszul side, more than 2M sequences, keeps
+    # caps.DEFAULT_CAP and is reported as null instead of exiting 3
+    code, rep = run_json(
+        capsys, "bar-oracle", "--v-dim", "2", "--atoms", "4", "--k", "10", "--s", "-9",
+        "--max-internal-degree", "0", "--cap", "1000000000",
+    )
+    assert code == 0
+    assert rep["koszulHh"] is None and rep["skippedFrom"] is None
+    assert rep["factors"] == [{"d": 0, "increment": 0, "cumulative": 0}]
+    assert "graded model skipped: admissible sequence enumeration" in rep["manifest"]["summary"]
+
+
 def test_bar_oracle_negative_degree_exits_2_in_one_line(capsys):
     code, out, err = run(capsys, "bar-oracle", "--atoms", "2", "--k", "-1", "--s", "0")
     assert code == 2 and out == ""
@@ -514,7 +527,26 @@ def test_massey_dg_file_errors_exit_2_in_one_line(capsys, tmp_path, content, mes
 def test_massey_strong_check_rejects_vacuous_sampling(capsys, option, value, message):
     code, out, err = run(capsys, "massey", "--atoms", "3", "--strong-check", option, value)
     assert code == 2 and out == ""
-    assert err.rstrip().splitlines()[-1].endswith(f"argument {option}: {message}")
+    assert err == f"error: argument {option}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hh-grid", "--cap", "0"), "argument --cap: must be positive, got 0"),
+        (("massey", "--atoms", "3", "--strong-check", "--samples", "-5"),
+         "argument --samples: must be positive, got -5"),
+        (("massey", "--atoms", "3", "--strong-check", "--max-n", "1"),
+         "argument --max-n: a Massey product needs at least 2 classes, got 1"),
+        (("hh-grid", "--atoms", "3", "--depth", "3"), "unrecognized arguments: --depth 3"),
+        (("bar-oracle", "--atoms", "3", "--s", "-1"), "the following arguments are required: --k"),
+    ],
+    ids=["cap", "samples", "max-n", "unknown-option", "missing-k"],
+)
+def test_argument_errors_exit_2_in_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_replay_round_trip(capsys, tmp_path):
@@ -585,8 +617,11 @@ def test_replay_usage_errors(capsys, tmp_path):
 def test_version_and_missing_subcommand(capsys):
     code, out, err = run(capsys, "--version")
     assert code == 0 and "koszulhh 0.1.0" in out
+    code, out, err = run(capsys, "--help")
+    assert code == 0 and out.startswith("usage: koszulhh") and err == ""
     code, out, err = run(capsys)
-    assert code == 2
+    assert code == 2 and out == ""
+    assert err == "error: the following arguments are required: command\n"
 
 
 def test_invalid_bit_characters_exit_2_in_one_line(capsys, tmp_path):

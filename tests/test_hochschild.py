@@ -6,6 +6,7 @@ import gc
 import random
 import weakref
 from array import array
+from functools import cache
 
 import pytest
 
@@ -318,9 +319,38 @@ def test_bar_cap_reports_reduced_truncation():
     assert len(rep.factors) == rep.skipped_from
 
 
+@cache
+def _reference_words(m, nj, q, e):
+    """The q-factor bar words of degree e over m v's and nj blocks, as tuples
+    of (degree, index) factors (degree 1 holds the v's, then the blocks), in
+    column order: by degree composition, then by the factor indices, the last
+    fastest."""
+    if q == 0:
+        return [()] if e == 0 else []
+    words = [
+        ((d, i),) + rest
+        for d in range(1, e + 1)
+        for i in range(m + nj if d == 1 else nj)
+        for rest in _reference_words(m, nj, q - 1, e - d)
+    ]
+    return sorted(words, key=lambda w: ([d for d, _ in w], [i for _, i in w]))
+
+
+@cache
+def _reference_index(m, nj, q, e):
+    return {t: i for i, t in enumerate(_reference_words(m, nj, q, e))}
+
+
+def _reference_merge(hc, f1, f2):
+    """Block of the product of two adjacent factors, or None when it is zero."""
+    b1, b2 = (i - hc.m if d == 1 else i for d, i in (f1, f2))
+    return b1 if b1 >= 0 and b1 == b2 else None
+
+
 def _reference_bar_rows(bar, q, e):
-    """Rows of output degree e as column-index lists, assembled term by term,
-    with lookups, offsets and factor actions rebuilt for every tensor."""
+    """Rows of output degree e as column-index lists, assembled term by term
+    from the explicit words, with offsets and factor actions rebuilt for
+    every word."""
     hc = bar.hc
     dim_out = bar.module_dim(e + bar.s)
 
@@ -328,7 +358,7 @@ def _reference_bar_rows(bar, q, e):
         return sum(bar.tensor_count(q, d) * bar.module_dim(d + bar.s) for d in range(e))
 
     def index(q, e):
-        return {t: i for i, t in enumerate(bar.basis(q, e))}.get
+        return _reference_index(hc.m, hc.nj, q, e)
 
     def factor_mask(factor):
         d1, i = factor
@@ -339,7 +369,7 @@ def _reference_bar_rows(bar, q, e):
     rows = []
     if not dim_out:
         return rows
-    for w in bar.basis(q + 1, e):
+    for w in _reference_words(hc.m, hc.nj, q + 1, e):
         per_coord = [[] for _ in range(dim_out)]
         for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
             e_in = e - w_act[0]
@@ -347,17 +377,16 @@ def _reference_bar_rows(bar, q, e):
             if dim_in == 0:
                 continue
             act = _reference_action_rows(hc.alg, *factor_mask(w_act), w_act[0], e_in + bar.s)
-            base = offset(q, e_in) + index(q, e_in)(rest) * dim_in
+            base = offset(q, e_in) + index(q, e_in)[rest] * dim_in
             for r in range(dim_out):
                 if act[r]:
                     per_coord[r].append(base + act[r].bit_length() - 1)
         for i in range(q):
-            (v1, p1), (v2, p2) = factor_mask(w[i]), factor_mask(w[i + 1])
-            if v1 or v2 or p1 != p2:
+            block = _reference_merge(hc, w[i], w[i + 1])
+            if block is None:
                 continue
-            block = w[i][1] - hc.m if w[i][0] == 1 else w[i][1]
             u = w[:i] + ((w[i][0] + w[i + 1][0], block),) + w[i + 2 :]
-            base = offset(q, e) + index(q, e)(u) * dim_out
+            base = offset(q, e) + index(q, e)[u] * dim_out
             for r in range(dim_out):
                 per_coord[r].append(base + r)
         rows.extend(per_coord)
@@ -412,7 +441,7 @@ def _reference_weights(bar, q, top):
     out = []
     for e in range(top + 1):
         j = e + bar.s
-        for t in bar.basis(q, e):
+        for t in _reference_words(hc.m, hc.nj, q, e):
             word = [0] * (nb + hc.m)
             for d1, i in t:
                 if d1 == 1 and i < hc.m:
@@ -451,6 +480,28 @@ def _bar_complex(m, n, blocks, s):
     if blocks is not None:
         subring = Subring(ring, [sum(ring.atom(a) for a in b) for b in blocks])
     return _BarComplex(HochschildComplex(ConnectedSumAlgebra(m, ring), subring), s)
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
+    bar = _bar_complex(m, n, blocks, s)
+    hc = bar.hc
+    for q in range(k + 1):
+        for e in range(7):
+            words = _reference_words(hc.m, hc.nj, q + 1, e)
+            links = list(bar._links(q, e))
+            assert len(links) == len(words) == bar.tensor_count(q + 1, e)
+            for w, (first, head, last, tail, joined) in zip(words, links):
+                assert (first, last) == (w[0], w[-1])
+                assert head == _reference_index(hc.m, hc.nj, q, e - w[0][0])[w[1:]]
+                assert tail == _reference_index(hc.m, hc.nj, q, e - w[-1][0])[w[:-1]]
+                merged = []
+                for i in range(q):
+                    block = _reference_merge(hc, w[i], w[i + 1])
+                    if block is not None:
+                        u = w[:i] + ((w[i][0] + w[i + 1][0], block),) + w[i + 2 :]
+                        merged.append(_reference_index(hc.m, hc.nj, q, e)[u])
+                assert joined == merged
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)

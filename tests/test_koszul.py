@@ -19,7 +19,6 @@ from koszulhh.koszul import (
     admissible_tuples,
     child_position,
     count_admissible,
-    is_admissible,
     koszul_space_generic,
     sequence_links,
     sequence_tensor_index,
@@ -27,14 +26,14 @@ from koszulhh.koszul import (
 )
 
 
+def is_admissible(seq: tuple[int, ...], m: int) -> bool:
+    """Entries >= m are atom-tagged; equal adjacent atoms are forbidden."""
+    return all(not (a == b and a >= m) for a, b in zip(seq, seq[1:]))
+
+
 def brute_force_admissible(m: int, n: int, k: int):
     """Filter all generator words: no equal adjacent atom letters."""
-    gens = range(m + n)
-    out = []
-    for seq in itertools.product(gens, repeat=k):
-        if all(not (seq[i] == seq[i + 1] and seq[i] >= m) for i in range(k - 1)):
-            out.append(seq)
-    return tuple(out)
+    return tuple(s for s in itertools.product(range(m + n), repeat=k) if is_admissible(s, m))
 
 
 def test_count_admissible_frozen_values():
