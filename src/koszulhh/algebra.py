@@ -17,7 +17,6 @@ alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 
 class BooleanRing:
@@ -56,11 +55,6 @@ class BooleanRing:
 
     def complement(self, x: int) -> int:
         return self.one ^ self.check(x)
-
-    def elements(self) -> Iterator[int]:
-        if self.atom_count > 20:
-            raise ValueError("element enumeration is only for small rings")
-        return iter(range(1 << self.atom_count))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, BooleanRing) and other.atom_count == self.atom_count
@@ -135,20 +129,6 @@ class Subring:
     @property
     def atom_count(self) -> int:
         return len(self.blocks)
-
-    def contains(self, x: int) -> bool:
-        self.ambient.check(x)
-        return all(b & x in (0, b) for b in self.blocks)
-
-    def elements(self) -> Iterator[int]:
-        if self.atom_count > 20:
-            raise ValueError("element enumeration is only for small subrings")
-        for mask in range(1 << self.atom_count):
-            acc = 0
-            for i, b in enumerate(self.blocks):
-                if (mask >> i) & 1:
-                    acc |= b
-            yield acc
 
     def adjoin(self, x: int) -> "Subring":
         """Smallest subring containing this one and the element x."""

@@ -166,6 +166,10 @@ def cmd_hh_grid(args) -> tuple[dict, int]:
     hc = HochschildComplex(alg, subring, cap=args.cap)
     if args.k_max < 0 or args.s_min > args.s_max:
         raise UsageError("empty bidegree range")
+    # every cap of the window, before any of its work
+    for k in range(args.k_max + 1):
+        for s in range(args.s_min, args.s_max + 1):
+            hc.check_caps(k, s)
     results = []
     nonzero = 0
     for k in range(args.k_max + 1):
@@ -254,6 +258,7 @@ def cmd_bar_oracle(args) -> tuple[dict, int]:
             "blocks": m.blocks,
             "widestBlock": m.widest,
             "nonzeroBlocks": m.nonzero,
+            "eliminatedBlocks": m.eliminated,
         }
         for m in rep.matrices
     ]

@@ -91,10 +91,6 @@ class BitMatrix:
     def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
         return cls([0] * nrows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls([1 << i for i in range(n)], n)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)

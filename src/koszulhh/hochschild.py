@@ -24,23 +24,29 @@ internal degree by internal degree, as a cross-check on the Koszul route.
 Bar words are numbered, not stored: by degree composition, then in mixed
 radix over their factor indices, so a word's truncations and merges are
 arithmetic on its number.  The coboundary preserves a multidegree weight,
-so every truncated matrix splits into a few hundred weight blocks.  Rows
-are assembled once, packed on the local columns of their block, and each
-block is eliminated on its own; the per-block ranks are cached per (q, top),
-so a zero cell costs one elimination per nonempty block.  The
-argument-degree filtration is the sum over blocks, and a block with zero
-cohomology contributes nothing, so only the blocks with nonzero cohomology
-get one more pass: the highest-bit pivots of the k-th coboundary give the
-rank of every column suffix, and the rank after each output degree of the
-(k-1)-th gives every row prefix.
+so every truncated matrix splits into a few hundred weight blocks.
+Permuting the v's, or coefficient blocks of equal atom count, maps blocks
+onto blocks of equal rank and filtration, so only one representative block
+per symmetry orbit is assembled and eliminated (BarBlocks.eliminated counts
+them) and the others read its rank.  Rows are assembled once, packed on the
+local columns of their block, and each representative is eliminated on its
+own; the per-block ranks are cached per (q, top), so a zero cell costs one
+elimination per nonempty orbit.  The argument-degree filtration is the sum
+over blocks, and a block with zero cohomology contributes nothing, so only
+the representatives with nonzero cohomology get one more pass, counted once
+per block of their orbit: the highest-bit pivots of the k-th coboundary
+give the rank of every column suffix, and the rank after each output degree
+of the (k-1)-th gives every row prefix.  Past the last argument degree that
+has cochains every piece is zero and costs nothing.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, count, product
 from math import prod
 from typing import Iterator
 
@@ -113,8 +119,9 @@ class BarBlocks:
     """Weight-block shape of one eliminated matrix, the truncated q-th coboundary.
 
     columns counts its q-cochains, split into blocks weight blocks of at most
-    widest columns each; nonzero counts the blocks that the filtration pass
-    reads again because the cohomology there is nonzero.
+    widest columns each; nonzero counts the blocks whose cohomology is
+    nonzero, and eliminated the representative blocks, one per symmetry
+    orbit, the only ones assembled and eliminated.
     """
 
     q: int
@@ -122,6 +129,7 @@ class BarBlocks:
     blocks: int
     widest: int
     nonzero: int
+    eliminated: int
 
 
 @dataclass(frozen=True)
@@ -304,6 +312,16 @@ class HochschildComplex:
                 group.append(c)
         return [_column_mask(cs) for cs in members.values()]
 
+    def check_caps(self, k: int, s: int) -> None:
+        """Raise CapExceeded where hh(k, s) would, before any of its work.
+
+        hh reads the differentials out of (k, s) and (k-1, s); each
+        enumerates sequences only between two nonzero module pieces.
+        """
+        for j in (k, k - 1) if k >= 1 else (k,):
+            if self.module_dim(j + s) and self.module_dim(j + s + 1):
+                capped_count(self.m, self.nj, j + 1, self.cap)
+
     def hh(self, k: int, s: int) -> HhReport:
         if k < 0:
             raise ValueError("negative cohomological degree")
@@ -396,20 +414,24 @@ class HochschildComplex:
         if bar is None:
             bar = _BarComplex(self, s)
             self._bar_cache[s] = bar
+        # past the last degree with cochains nothing changes: the workload
+        # stays put and every piece is zero
+        last = bar.last_degree(k)
+        reach = max_internal_degree if last is None else min(max_internal_degree, last)
         top = -1
-        for d in range(max_internal_degree + 1):
+        for d in range(reach + 1):
             if bar.workload(k, d) > cap:
                 break
             top = d
-        skipped_from = top + 1 if top < max_internal_degree else None
+        skipped_from = top + 1 if top < reach else None
+        pieces, matrices = bar.cohomology(k, top) if top >= 0 else ([], ())
+        if skipped_from is None:
+            pieces += [0] * (max_internal_degree - top)
         factors = []
-        matrices = ()
-        if top >= 0:
-            pieces, matrices = bar.cohomology(k, top)
-            cum = 0
-            for d, piece in enumerate(pieces):
-                cum += piece
-                factors.append(BarFactor(d, cum, piece))
+        cum = 0
+        for d, piece in enumerate(pieces):
+            cum += piece
+            factors.append(BarFactor(d, cum, piece))
         return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from, matrices)
 
 
@@ -419,19 +441,31 @@ class _Layout:
 
     Global column c lies in block block[c] at index local[c] within it; local
     indices keep the global order, so within a block they still ascend by
-    argument degree.  codes[b] is the weight code of block b, and starts[d][b]
-    counts its columns of argument degree < d for d = 0 .. top + 1, so the
-    last entry holds the block sizes.
+    argument degree.  codes[b] is the weight code of block b in base radix,
+    and starts[d][b] counts its columns of argument degree < d for d = 0 ..
+    top + 1, so the last entry holds the block sizes.  rep[b] is the
+    representative of the symmetry orbit of block b and orbit[b] the number
+    of blocks in that orbit; factor_codes[d] holds the weight codes of the
+    tensor factors of degree d.
     """
 
     block: array
     local: array
     codes: list[int]
     starts: list[array]
+    radix: int
+    factor_codes: list[list[int]]
+    rep: array
+    orbit: array
 
     @property
     def sizes(self) -> array:
         return self.starts[-1]
+
+    @property
+    def representatives(self) -> dict[int, int]:
+        """Weight code -> block, for the representative blocks."""
+        return {self.codes[b]: b for b, r in enumerate(self.rep) if r == b}
 
 
 class _BarComplex:
@@ -450,12 +484,27 @@ class _BarComplex:
     toward the block that holds it).  Every truncated matrix is therefore a
     direct sum of weight blocks, a few hundred of at most a few thousand
     columns each.  _layout gives each column its block and its index within
-    the block.  Rows are assembled in ascending output degree, packed on
-    those local indices and appended to their block's bucket; each bucket is
-    eliminated on its own, and the per-block ranks are cached per (q, top),
-    so adjacent bidegrees share them.  Tensor counts, cochain dimensions,
-    shapes and layouts are memoized per instance, so a complex is freed
-    together with its HochschildComplex.
+    the block.
+
+    Permuting the v's, or coefficient blocks of equal atom count (with
+    their atoms), is an automorphism of the algebra and of the module; it
+    keeps argument degrees and maps the block of weight w onto that of the
+    permuted weight.  So the blocks of one orbit have equal sizes, ranks and
+    filtration pieces, exactly.  The representative of an orbit is the
+    block whose weight digits are sorted within each group of
+    interchangeable positions.  Rows are assembled only for representative
+    blocks: a row (word t, output coordinate r) lies in the block of code
+    mdeg(r) - mdeg(t), so a word none of whose rows lands in a
+    representative is passed over before its merges are read.  Rows are
+    assembled in ascending output degree, packed on the local indices and
+    appended to their block's bucket; each representative bucket is
+    eliminated on its own, every other block reads its representative's
+    rank, and the per-block ranks are cached per (q, top), so adjacent
+    bidegrees share them.  The filtration pass reads the representatives
+    with nonzero cohomology and counts each piece once per block of its
+    orbit.  Tensor counts, cochain dimensions, shapes and layouts are
+    memoized per instance, so a complex is freed together with its
+    HochschildComplex.
     """
 
     def __init__(self, hc: HochschildComplex, s: int):
@@ -466,6 +515,11 @@ class _BarComplex:
             next(b for b, mask in enumerate(hc.blocks) if mask >> a & 1)
             for a in range(hc.alg.atom_count)
         ]
+        # weight digit positions that a symmetry permutes among themselves:
+        # the blocks of each atom count, then the v's
+        sizes = [mask.bit_count() for mask in hc.blocks]
+        self._groups = [[b for b, n in enumerate(sizes) if n == size] for size in sorted(set(sizes))]
+        self._groups.append(list(range(hc.nj, hc.nj + hc.m)))
         self._rank_cache: dict = {}
         self._count_cache: dict = {}
         self._dim_cache: dict = {}
@@ -489,6 +543,19 @@ class _BarComplex:
                 hit = sum(self.q_dim(d1) * self.tensor_count(q - 1, e - d1) for d1 in range(1, e + 1))
             self._count_cache[key] = hit
         return hit
+
+    def last_degree(self, k: int) -> int | None:
+        """Last argument degree with q-cochains for some q in k-1 .. k+1
+        (-1: none), or None when every degree has them.
+
+        With blocks the module and the words of q >= 1 factors are nonzero
+        in every degree from q on.  Without them every factor is a v of
+        degree 1, so a q-factor word has degree q.
+        """
+        if self.hc.nj:
+            return None
+        qs = range(max(k - 1, 0), k + 2)
+        return max((q for q in qs if self.tensor_count(q, q) * self.module_dim(q + self.s)), default=-1)
 
     def _shapes(self, q: int, e: int) -> dict[tuple, tuple[int, tuple]]:
         """Degree composition (d_1 .. d_q) -> (first word, radices) of its run.
@@ -548,19 +615,25 @@ class _BarComplex:
             return self.hc.generator_element(i)
         return self.hc.alg.element(d, self.hc.blocks[i])
 
-    def _links(self, q: int, e: int) -> Iterator[tuple]:
+    def _links(self, q: int, e: int, select) -> Iterator[tuple]:
         """(w[0], pos(w[1:]), w[-1], pos(w[:-1]), positions of the nonzero
-        merges) for each (q+1)-factor word w of degree e, in word order.
+        merges, pick) for each (q+1)-factor word w of degree e, in word order.
 
         A factor is (degree, index); a position numbers the q-factor words
         of its degree.  Adjacent factors merge only within one block b (a v
         kills everything, distinct blocks are orthogonal).  On the number v
         of w in its run, w[1:] and w[:-1] drop the first and last digit, and
         a merge at i puts digit b (radix nj) in place of digits i, i+1.
+
+        select maps a degree composition to one pick per word of its run; a
+        word with an empty pick is passed over before its merges are read.
         """
         m, nj = self.hc.m, self.hc.nj
         merged_shapes = self._shapes(q, e)
         for comp, (_, radices) in self._shapes(q + 1, e).items():
+            picks = select(comp)
+            if not any(picks):
+                continue
             head = self._shapes(q, e - comp[0])[comp[1:]][0]
             tail = self._shapes(q, e - comp[-1])[comp[:-1]][0]
             head_mod, tail_div = prod(radices[1:]), radices[-1]
@@ -570,14 +643,15 @@ class _BarComplex:
                 start = merged_shapes[comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]][0]
                 off1, off2 = (m if d == 1 else 0 for d in comp[i : i + 2])
                 merges.append((i, start, off1, off2, lo, radices[i] * radices[i + 1] * lo))
-            for v, digits in enumerate(product(*map(range, radices))):
+            words = zip(count(), product(*map(range, radices)), picks)
+            for v, digits, pick in compress(words, picks):
                 joined = []
                 for i, start, off1, off2, lo, span in merges:
                     b = digits[i] - off1
                     if b >= 0 and b == digits[i + 1] - off2:
                         joined.append(start + (v // span * nj + b) * lo + v % lo)
                 first, last = (comp[0], digits[0]), (comp[-1], digits[-1])
-                yield first, head + v % head_mod, last, tail + v // tail_div, joined
+                yield first, head + v % head_mod, last, tail + v // tail_div, joined, pick
 
     # -- weight blocks -------------------------------------------------------
 
@@ -598,6 +672,24 @@ class _BarComplex:
             code += x.degree * radix ** self._atom_block[(atoms & -atoms).bit_length() - 1]
         return code
 
+    def _module_codes(self, j: int, radix: int) -> list[int]:
+        """Weight code of each basis element of the degree-j module piece."""
+        alg = self.hc.alg
+        return [self._weight_code(alg.element(j, 1 << c), radix) for c in range(self.module_dim(j))]
+
+    def _canonical(self, code: int, radix: int) -> int:
+        """Weight code of the representative of the orbit of code: its digits
+        sorted within each group of interchangeable positions."""
+        digits = []
+        for _ in range(self.hc.nj + self.hc.m):
+            d = (code + radix // 2) % radix - radix // 2
+            digits.append(d)
+            code = (code - d) // radix
+        for group in self._groups:
+            for p, d in zip(group, sorted(digits[p] for p in group)):
+                digits[p] = d
+        return sum(d * radix**p for p, d in enumerate(digits))
+
     def _layout(self, q: int, top: int) -> _Layout:
         """Weight block and local index of every q-cochain column up to degree top.
 
@@ -605,7 +697,8 @@ class _BarComplex:
         of its weight code and takes the number of columns that joined
         before it as its local index.  Weight digits lie in [-top, top + s],
         and v digits in [-top, 1], so radix 2 (top + |s|) + 3 keeps the
-        codes apart.
+        codes apart.  Every block of an orbit is present, the representative
+        included, so the orbit sizes are counted off the blocks.
         """
         key = (q, top)
         hit = self._layout_cache.get(key)
@@ -624,16 +717,11 @@ class _BarComplex:
         starts = []
         for e in range(top + 1):
             starts.append(counts[:])
-            j = e + self.s
-            module = [
-                self._weight_code(self.hc.alg.element(j, 1 << c), radix)
-                for c in range(self.module_dim(j))
-            ]
+            module = self._module_codes(e + self.s, radix)
             if not module:
                 continue
             for comp in self._shapes(q, e):
-                for word_codes in product(*map(factor_codes.__getitem__, comp)):
-                    word = sum(word_codes)
+                for word in _word_codes(comp, factor_codes):
                     for c_code in module:
                         w = c_code - word
                         b = ids.get(w)
@@ -646,25 +734,39 @@ class _BarComplex:
                         counts[b] += 1
         starts.append(counts)
         starts = [array("i", s + [0] * (len(codes) - len(s))) for s in starts]
-        hit = _Layout(block, local, codes, starts)
+        rep = array("i", [ids[self._canonical(w, radix)] for w in codes])
+        sizes = Counter(rep)
+        orbit = array("i", [sizes[r] for r in rep])
+        hit = _Layout(block, local, codes, starts, radix, factor_codes, rep, orbit)
         self._layout_cache[key] = hit
         return hit
 
     # -- rows and ranks ------------------------------------------------------
 
     def _rows(self, q: int, e: int, layout: _Layout) -> Iterator[tuple[int, int]]:
-        """(block, row) for each nonzero row of the q-th coboundary of output degree e.
+        """(block, row) for each nonzero row of the q-th coboundary of output
+        degree e that lies in a representative block.
 
         The row is packed on the local column indices of its weight block.
-        All its entries lie in that block, which is read from the column of
-        the last entry written.  Repeated entries cancel mod 2.
+        All its entries lie in the block of code mdeg(r) - mdeg(t) for word t
+        and output coordinate r.  Repeated entries cancel mod 2.
         """
         dim_out = self.module_dim(e + self.s)
         if not dim_out or not self.tensor_count(q + 1, e):
             return
-        block, local = layout.block, layout.local
-        # per acting factor: (output coordinate, input column) pairs of its
-        # action, and the input degree run it reads
+        local = layout.local
+        reps = layout.representatives
+        module = self._module_codes(e + self.s, layout.radix)
+        picked: dict[int, list[tuple[int, int]]] = {}  # word code -> (r, block) of its rows
+
+        def select(comp: tuple) -> list:
+            codes = _word_codes(comp, layout.factor_codes)
+            for w in set(codes).difference(picked):
+                picked[w] = [(r, reps[c - w]) for r, c in enumerate(module) if c - w in reps]
+            return list(map(picked.__getitem__, codes))
+
+        # per acting factor: the input column of each output coordinate (-1:
+        # none), and the input degree run it reads
         acting = {}
         for d in range(1, e + 1):
             dim_in = self.module_dim(e - d + self.s)
@@ -672,42 +774,39 @@ class _BarComplex:
                 continue
             for i in range(self.q_dim(d)):
                 act = _action_rows(self.hc.alg, self._factor_element(d, i), e - d + self.s)
-                pairs = [(r, row.bit_length() - 1) for r, row in enumerate(act) if row]
-                if pairs:
-                    acting[(d, i)] = (pairs, self.degree_offset(q, e - d), dim_in)
+                if any(act):
+                    cols = [row.bit_length() - 1 for row in act]
+                    acting[(d, i)] = (cols, self.degree_offset(q, e - d), dim_in)
         base_off = self.degree_offset(q, e)
-        for first, head, last, tail, joined in self._links(q, e):
-            row = [0] * dim_out
-            at = [0] * dim_out  # a global column of each row's entries
+        for first, head, last, tail, joined, pick in self._links(q, e, select):
             # outer terms: first factor acts on the right-truncated input,
             # last factor on the left-truncated input
+            outer = []
             for f, pos in ((first, head), (last, tail)):
                 act = acting.get(f)
-                if act is None:
-                    continue
-                pairs, off, dim_in = act
-                base = off + pos * dim_in
-                for r, c in pairs:
-                    col = base + c
-                    row[r] ^= 1 << local[col]
-                    at[r] = col
+                if act is not None:
+                    cols, off, dim_in = act
+                    outer.append((cols, off + pos * dim_in))
             # inner terms: merge adjacent factors, module coordinate unchanged
-            for pos in joined:
-                base = base_off + pos * dim_out
-                for r in range(dim_out):
-                    col = base + r
-                    row[r] ^= 1 << local[col]
-                    at[r] = col
-            for r, packed in enumerate(row):
+            inner = [base_off + pos * dim_out for pos in joined]
+            for r, b in pick:
+                packed = 0
+                for cols, base in outer:
+                    c = cols[r]
+                    if c >= 0:
+                        packed ^= 1 << local[base + c]
+                for base in inner:
+                    packed ^= 1 << local[base + r]
                 if packed:
-                    yield block[at[r]], packed
+                    yield b, packed
 
     def _buckets(self, q: int, top: int) -> tuple[list[list[int]], list[array]]:
         """Rows of the q-th coboundary truncated at top, one bucket per weight block.
 
         Buckets are indexed by the blocks of the q-cochains and filled in
-        ascending output degree; ends[e][b] is the length of bucket b once
-        the rows of output degree e are in.  No row is wider than its block.
+        ascending output degree, the representative blocks only; ends[e][b]
+        is the length of bucket b once the rows of output degree e are in.
+        No row is wider than its block.
         """
         layout = self._layout(q, top)
         buckets: list[list[int]] = [[] for _ in layout.codes]
@@ -721,7 +820,8 @@ class _BarComplex:
     def _block_ranks(self, q: int, top: int, keep: dict | None = None) -> array:
         """Per weight block of the q-cochains, the rank of the truncated q-th coboundary on it.
 
-        One echelon_rank per nonempty bucket.  Cached per (q, top); when the
+        One echelon_rank per nonempty representative bucket; every other
+        block reads its representative's rank.  Cached per (q, top); when the
         ranks are computed here and keep is given, the buckets and their
         degree ends are left in keep[q] for the filtration pass.
         """
@@ -729,7 +829,8 @@ class _BarComplex:
         hit = self._rank_cache.get(key)
         if hit is None:
             buckets, ends = self._buckets(q, top)
-            hit = array("i", [echelon_rank(rows) if rows else 0 for rows in buckets])
+            ranks = [echelon_rank(rows) if rows else 0 for rows in buckets]
+            hit = array("i", [ranks[r] for r in self._layout(q, top).rep])
             self._rank_cache[key] = hit
             if keep is not None:
                 keep[q] = (buckets, ends)
@@ -751,7 +852,10 @@ class _BarComplex:
         degree, and the pieces sum to the truncated cohomology.  The
         filtration is the sum of those of the weight blocks, and a block with
         zero cohomology has every piece zero, so only the blocks with
-        nonzero cohomology are read.
+        nonzero cohomology are read; of those, only the representatives,
+        each counted once per block of its orbit.  The (k-1)-block below a
+        representative has the same weight code, so it is a representative
+        too.
 
         One more pass over a block's rows gives every floor at once.  The
         cocycles of degree >= d are the kernel of the k-th coboundary on the
@@ -785,13 +889,16 @@ class _BarComplex:
         for q in range(max(k - 1, 0), k + 1):
             shape = self._layout(q, top)
             widest = max(shape.sizes, default=0)
-            matrices.append(BarBlocks(q, len(shape.block), len(shape.codes), widest, read[q]))
+            orbits = sum(r == b for b, r in enumerate(shape.rep))
+            matrices.append(
+                BarBlocks(q, len(shape.block), len(shape.codes), widest, read[q], orbits)
+            )
         if not blocks:
             return pieces, tuple(matrices)
         rows_out = (keep.get(k) or self._buckets(k, top))[0]
         if k >= 1:
             rows_in, ends = keep.get(k - 1) or self._buckets(k - 1, top)
-        for b in blocks:
+        for b in (b for b in blocks if layout.rep[b] == b):
             basis = EchelonBasis()
             basis.extend(rows_out[b])
             pivots = basis.pivots()
@@ -811,8 +918,17 @@ class _BarComplex:
                 cocycles = layout.sizes[b] - floor - (len(pivots) - bisect_left(pivots, floor))
                 filtered.append(cocycles - (below[top + 1] - below[d]))
             for d in range(top + 1):
-                pieces[d] += filtered[d] - filtered[d + 1]
+                pieces[d] += layout.orbit[b] * (filtered[d] - filtered[d + 1])
         return pieces, tuple(matrices)
+
+
+def _word_codes(comp: tuple, factor_codes: list[list[int]]) -> list[int]:
+    """Weight code of each word of one composition run, in word order: the
+    sum of its factor codes, built in mixed radix one factor at a time."""
+    codes = [0]
+    for d in comp:
+        codes = [c + f for c in codes for f in factor_codes[d]]
+    return codes
 
 
 def kadeishvili_check(
@@ -822,6 +938,8 @@ def kadeishvili_check(
     if max_k < 3:
         raise ValueError("the obstruction range starts at k = 3")
     hc = HochschildComplex(alg, subring, cap)
+    for k in range(3, max_k + 1):
+        hc.check_caps(k, 2 - k)
     rows = tuple(hc.hh(k, 2 - k) for k in range(3, max_k + 1))
     failures = tuple((r.k, r.s, r.cohomology) for r in rows if r.cohomology)
     return KadeishviliReport(max_k, not failures, failures, rows)

@@ -24,7 +24,6 @@ def test_boolean_ring_masks_and_operations():
     assert r.product(0b011, 0b110) == 0b010
     assert r.add(0b011, 0b110) == 0b101
     assert r.complement(0b010) == 0b101
-    assert len(list(r.elements())) == 8
 
 
 def test_boolean_ring_check_rejects_foreign_masks():
@@ -73,14 +72,6 @@ def test_subring_adjoin_refines_and_is_idempotent():
     assert s.blocks == (0b011, 0b100)
     assert s.adjoin(0b011) == s
     assert s.adjoin(0b001).blocks == (0b001, 0b010, 0b100)
-    assert s.contains(0b011) and not s.contains(0b001)
-
-
-def test_subring_elements_are_block_unions():
-    r = BooleanRing(3)
-    s = Subring.trivial(r).adjoin(0b011)
-    elts = sorted(s.elements())
-    assert elts == [0, 0b011, 0b100, 0b111]
 
 
 def test_graded_element_xor_and_is_zero():

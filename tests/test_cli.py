@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from koszulhh import cli, coboundary, koszul
+import koszulhh
+from koszulhh import cli, coboundary, hochschild, koszul
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex, _BarComplex
@@ -271,10 +275,51 @@ def test_bar_oracle(capsys):
     assert rep["skippedFrom"] is None
     assert [f["increment"] for f in rep["factors"]] == [0, 0, 3, 0, 0, 0, 0]
     assert [f["cumulative"] for f in rep["factors"]] == [0, 0, 3, 3, 3, 3, 3]
-    # the 3 classes sit in 3 of the 78 weight blocks of C^2
+    # the 3 classes sit in 3 of the 78 weight blocks of C^2; permuting the
+    # atoms leaves 15 orbits of blocks there, one block of each eliminated
     shapes = rep["manifest"]["barBlocks"]
-    assert [(b["q"], b["blocks"], b["nonzeroBlocks"]) for b in shapes] == [(1, 33, 3), (2, 78, 3)]
+    assert [(b["q"], b["blocks"], b["nonzeroBlocks"], b["eliminatedBlocks"]) for b in shapes] == [
+        (1, 33, 3, 6),
+        (2, 78, 3, 15),
+    ]
     assert all(0 < b["widestBlock"] < b["columns"] for b in shapes)
+
+
+def test_bar_oracle_past_the_last_degree_with_cochains_does_no_work():
+    # without atoms a bar word of q factors has degree q, so past degree
+    # k + 1 every piece is zero and costs nothing, however deep the request
+    src = os.path.dirname(os.path.dirname(os.path.abspath(koszulhh.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["bar-oracle", "--v-dim", "1", "--k", "1", "--s", "0", "--max-internal-degree", "100000"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "koszulhh.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["skippedFrom"] is None and len(rep["factors"]) == 100_001
+    assert all(f["increment"] == 0 for f in rep["factors"][3:])
+    assert rep["factors"][-1]["cumulative"] == rep["koszulHh"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hh-grid", "--v-dim", "2", "--atoms", "4", "--k-max", "8", "--s-min", "-3", "--s-max", "0"),
+        ("kadeishvili", "--v-dim", "2", "--atoms", "4", "--k-max", "8"),
+    ],
+)
+def test_every_cap_of_the_window_is_checked_before_any_work(capsys, monkeypatch, argv):
+    # k = 8 needs the 4,134,916 sequences of length 9 (default cap 2M); the
+    # smaller k come first in the window, but none of them is computed
+    def never(*args):
+        raise AssertionError("enumerated before the caps were checked")
+
+    monkeypatch.setattr(hochschild, "sequence_links", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: admissible sequence enumeration\n"
 
 
 def test_bar_oracle_csv(capsys):

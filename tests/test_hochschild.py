@@ -6,7 +6,10 @@ import gc
 import random
 import weakref
 from array import array
+from dataclasses import replace
 from functools import cache
+from itertools import permutations
+from math import prod
 
 import pytest
 
@@ -489,9 +492,14 @@ def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
     for q in range(k + 1):
         for e in range(7):
             words = _reference_words(hc.m, hc.nj, q + 1, e)
-            links = list(bar._links(q, e))
+
+            def every(comp):
+                # each word picked, its pick its composition and number in the run
+                return [(comp, v) for v in range(prod(bar._shapes(q + 1, e)[comp][1]))]
+
+            links = list(bar._links(q, e, every))
             assert len(links) == len(words) == bar.tensor_count(q + 1, e)
-            for w, (first, head, last, tail, joined) in zip(words, links):
+            for w, (first, head, last, tail, joined, _) in zip(words, links):
                 assert (first, last) == (w[0], w[-1])
                 assert head == _reference_index(hc.m, hc.nj, q, e - w[0][0])[w[1:]]
                 assert tail == _reference_index(hc.m, hc.nj, q, e - w[-1][0])[w[:-1]]
@@ -502,6 +510,12 @@ def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
                         u = w[:i] + ((w[i][0] + w[i + 1][0], block),) + w[i + 2 :]
                         merged.append(_reference_index(hc.m, hc.nj, q, e)[u])
                 assert joined == merged
+            # a selection passes over exactly the words of empty pick and
+            # leaves the positions of the others as they are
+            def some(comp):
+                return [key if hash(key) % 3 else () for key in every(comp)]
+
+            assert list(bar._links(q, e, some)) == [link for link in links if hash(link[-1]) % 3]
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
@@ -544,6 +558,16 @@ def test_bar_filtration_matches_the_per_floor_reference(m, n, blocks, k, s):
     assert sum(pieces[-1]) == bar.hc.hh(k, s).cohomology
 
 
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+def test_bar_reports_past_the_last_degree_equal_the_degree_by_degree_walk(m, monkeypatch):
+    cases = [(k, s, cap) for k in range(5) for s in range(-4, 2) for cap in (1, 4, 30, None)]
+    hc = HochschildComplex(ConnectedSumAlgebra(m))
+    bounded = [hc.bar_oracle(k, s, 12, cap) for k, s, cap in cases]
+    monkeypatch.setattr(_BarComplex, "last_degree", lambda bar, k: None)
+    hc = HochschildComplex(ConnectedSumAlgebra(m))
+    assert bounded == [hc.bar_oracle(k, s, 12, cap) for k, s, cap in cases]
+
+
 def test_capped_bar_filtration_matches_the_per_floor_reference():
     hc = HochschildComplex(ConnectedSumAlgebra(0, BooleanRing(3)))
     rep = hc.bar_oracle(5, -4, 8, cap=8_000)
@@ -583,6 +607,73 @@ def test_bar_filtration_over_every_block_equals_the_nonzero_blocks(m, n, blocks,
     # with atoms the shortcut leaves blocks out; on the two v-only cells
     # every block of C^k carries cohomology
     assert (matrices[-1].nonzero < matrices[-1].blocks) == (n > 0)
+
+
+# BAR_CELLS has v_dim 0, 1 and 2 and the unequal blocks x1+x2, x3 (never
+# swapped); here two equal blocks that are swapped, and v's beside atoms
+ORBIT_CELLS = BAR_CELLS + [
+    (0, 4, ((0, 1), (2, 3)), 2, -1),
+    (1, 4, ((0, 1), (2, 3)), 3, -2),
+    (2, 2, None, 3, -2),
+]
+
+
+def _reference_orbit(weight, groups):
+    """Every weight obtained from weight by permuting its digits within each group."""
+    images = {tuple(weight)}
+    for group in groups:
+        moved = set()
+        for w in images:
+            for perm in permutations(group):
+                image = list(w)
+                for p, source in zip(group, perm):
+                    image[p] = w[source]
+                moved.add(tuple(image))
+        images = moved
+    return images
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", ORBIT_CELLS)
+def test_bar_orbits_are_the_weight_permutations(m, n, blocks, k, s):
+    bar = _bar_complex(m, n, blocks, s)
+    hc = bar.hc
+    sizes = [mask.bit_count() for mask in hc.blocks]
+    groups = [[b for b in range(hc.nj) if sizes[b] == size] for size in set(sizes)]
+    groups.append(list(range(hc.nj, hc.nj + hc.m)))
+    top = 5
+    for q in range(max(k - 1, 0), k + 2):
+        layout = bar._layout(q, top)
+        weight_of = dict(zip(layout.block, _reference_weights(bar, q, top)))
+        block_of = {w: b for b, w in weight_of.items()}
+        for b, w in weight_of.items():
+            orbit = {block_of[image] for image in _reference_orbit(w, groups)}
+            assert layout.rep[b] in orbit and {layout.rep[c] for c in orbit} == {layout.rep[b]}
+            assert layout.orbit[b] == len(orbit)
+            # the blocks of an orbit have equal sizes and equal degree floors
+            assert len({tuple(st[c] for st in layout.starts) for c in orbit}) == 1
+        if blocks == ((0, 1), (2,)) and m < 2:
+            assert list(layout.orbit) == [1] * len(layout.codes)
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", ORBIT_CELLS)
+def test_bar_orbit_sums_equal_the_elimination_of_every_block(m, n, blocks, k, s, monkeypatch):
+    orbits, every = _bar_complex(m, n, blocks, s), _bar_complex(m, n, blocks, s)
+    # each code its own representative: every block is assembled and eliminated
+    monkeypatch.setattr(every, "_canonical", lambda code, radix: code)
+    for top in range(7):
+        for q in range(max(k - 1, 0), k + 1):
+            assert list(every._layout(q, top).orbit) == [1] * len(every._layout(q, top).codes)
+            assert orbits._block_ranks(q, top) == every._block_ranks(q, top)
+        pieces, matrices = orbits.cohomology(k, top)
+        everywhere = every.cohomology(k, top)
+        assert pieces == everywhere[0]
+        assert [replace(x, eliminated=0) for x in matrices] == [
+            replace(x, eliminated=0) for x in everywhere[1]
+        ]
+        assert all(x.eliminated == x.blocks for x in everywhere[1])
+    # blocks are left out exactly where two generators are interchangeable
+    swapped = any(len(group) > 1 for group in orbits._groups)
+    assert (matrices[-1].eliminated < matrices[-1].blocks) == swapped
 
 
 def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):

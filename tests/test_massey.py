@@ -44,7 +44,7 @@ def atom_class(alg, n_free, i):
 
 
 def test_dg_algebra_rejects_nonsquaring_differential():
-    eye = BitMatrix.identity(1)
+    eye = BitMatrix([1], 1)
     with pytest.raises(ValueError):
         DgAlgebra((1, 1, 1), (eye, eye), {(0, 0, 0, 0): 1, (0, 0, 1, 0): 1, (1, 0, 0, 0): 1, (0, 0, 2, 0): 1, (2, 0, 0, 0): 1})
 
