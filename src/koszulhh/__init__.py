@@ -19,7 +19,6 @@ from .algebra import (
 from .coboundary import (
     HeadTail,
     Orbit,
-    bottom_cocycles,
     extend_cocycle,
     extend_cocycle_split,
     head_tail,
@@ -92,7 +91,6 @@ __all__ = [
     "Subring",
     "admissible_in_generic_span",
     "admissible_sequences",
-    "bottom_cocycles",
     "count_admissible",
     "dg_algebra_from_dict",
     "dg_algebra_to_dict",

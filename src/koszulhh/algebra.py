@@ -33,10 +33,6 @@ class BooleanRing:
     def one(self) -> int:
         return (1 << self.atom_count) - 1
 
-    @property
-    def zero(self) -> int:
-        return 0
-
     def atom(self, i: int) -> int:
         if not 0 <= i < self.atom_count:
             raise IndexError(i)
@@ -169,9 +165,6 @@ class GradedElement:
     degree: int
     bits: int
 
-    def is_zero(self) -> bool:
-        return self.bits == 0
-
     def __xor__(self, other: "GradedElement") -> "GradedElement":
         if self.degree != other.degree:
             raise ValueError("cannot add elements of different degrees")
@@ -225,9 +218,6 @@ class ConnectedSumAlgebra:
         if j == 1:
             return self.generator_labels()
         return [f"x{a + 1}" for a in range(self.atom_count)]
-
-    def one(self) -> GradedElement:
-        return GradedElement(0, 1)
 
     def element(self, degree: int, bits: int) -> GradedElement:
         dim = self.graded_dim(degree)

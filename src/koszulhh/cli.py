@@ -20,6 +20,7 @@ import time
 
 from . import __version__ as VERSION
 from .algebra import BooleanRing, ConnectedSumAlgebra, GradedElement, Subring
+from .caps import check_cap
 from .coboundary import extend_cocycle, extend_cocycle_split, solve_coboundary
 from .errors import CapExceeded
 from .gf2 import from01, to01
@@ -31,6 +32,7 @@ from .massey import (
     from_connected_sum,
     massey_product,
     massey_product_set,
+    product_count,
     strong_massey_check,
     trivial_defining_system,
 )
@@ -333,6 +335,9 @@ def _massey_algebra(args):
         except (KeyError, IndexError, TypeError, ValueError) as e:
             raise UsageError(f"bad dg algebra file: {e}") from None
     alg, _ = _build_algebra(args)
+    # --cap sets MASSEY_CAP only; the sizes the options imply run at DEFAULT_CAP
+    products = product_count(alg, args.top)
+    check_cap(f"--top {args.top}: a product table of {products:,} entries", products, None)
     dg = from_connected_sum(alg, args.top)
     return dg, _algebra_info(alg, None)
 
@@ -361,6 +366,9 @@ def _parse_classes(text: str, dg) -> list[CohomologyClass]:
 
 
 def cmd_massey(args) -> tuple[dict, int]:
+    if args.strong_check:
+        entries = args.max_n * (args.max_n + 1) // 2 - 1  # the largest sampled defining system
+        check_cap(f"--max-n {args.max_n}: a defining system of {entries:,} entries", entries, None)
     dg, info = _massey_algebra(args)
     manifest_extra: dict = {}
     if args.strong_check:

@@ -150,13 +150,6 @@ def solve_coboundary(hc: HochschildComplex, f: Cochain) -> Cochain:
     return g
 
 
-def bottom_cocycles(hc: HochschildComplex, k: int) -> int:
-    """Dimension of the cocycle space with values in the degree-0 piece."""
-    if k < 1:
-        raise ValueError("positive degree required")
-    return hc.hh(k, -k).cocycles
-
-
 # -- extension along a subring refinement ----------------------------------
 
 

@@ -28,13 +28,13 @@ so every truncated matrix splits into a few hundred weight blocks.
 Permuting the v's, or coefficient blocks of equal atom count, maps blocks
 onto blocks of equal rank and filtration, so only one representative block
 per symmetry orbit is assembled and eliminated (BarBlocks.eliminated counts
-them) and the others read its rank.  Rows are assembled once, packed on the
-local columns of their block, and each representative is eliminated on its
-own; the per-block ranks are cached per (q, top), so a zero cell costs one
-elimination per nonempty orbit.  The argument-degree filtration is the sum
-over blocks, and a block with zero cohomology contributes nothing, so only
-the representatives with nonzero cohomology get one more pass, counted once
-per block of their orbit: the highest-bit pivots of the k-th coboundary
+them) and the others read its rank.  A cell assembles each of its matrices
+once, packing every row on the local columns of its block, and eliminates
+each representative once, so a zero cell costs one elimination per nonempty
+orbit.  The argument-degree filtration is the sum over blocks, and a block
+with zero cohomology contributes nothing, so only the representatives with
+nonzero cohomology get one more pass over the same rows, counted once per
+block of their orbit: the highest-bit pivots of the k-th coboundary
 give the rank of every column suffix, and the rank after each output degree
 of the (k-1)-th gives every row prefix.  Past the last argument degree that
 has cochains every piece is zero and costs nothing.
@@ -334,7 +334,7 @@ class HochschildComplex:
     # -- cochain plumbing --------------------------------------------------
 
     def cochain_from_bits(self, k: int, s: int, bits: int) -> Cochain:
-        dim = self.module_dim(k + s) if k + s >= 0 else 0
+        dim = self.module_dim(k + s)
         count = count_admissible(self.m, self.nj, k)
         mask = (1 << dim) - 1
         return Cochain(k, s, tuple((bits >> (i * dim)) & mask if dim else 0 for i in range(count)))
@@ -439,9 +439,9 @@ class HochschildComplex:
 class _Layout:
     """Weight blocks of the q-cochains of argument degree <= top.
 
-    Global column c lies in block block[c] at index local[c] within it; local
-    indices keep the global order, so within a block they still ascend by
-    argument degree.  codes[b] is the weight code of block b in base radix,
+    Global column c has index local[c] within its weight block; local indices
+    keep the global order, so within a block they still ascend by argument
+    degree.  codes[b] is the weight code of block b in base radix,
     and starts[d][b] counts its columns of argument degree < d for d = 0 ..
     top + 1, so the last entry holds the block sizes.  rep[b] is the
     representative of the symmetry orbit of block b and orbit[b] the number
@@ -449,7 +449,6 @@ class _Layout:
     tensor factors of degree d.
     """
 
-    block: array
     local: array
     codes: list[int]
     starts: list[array]
@@ -461,11 +460,6 @@ class _Layout:
     @property
     def sizes(self) -> array:
         return self.starts[-1]
-
-    @property
-    def representatives(self) -> dict[int, int]:
-        """Weight code -> block, for the representative blocks."""
-        return {self.codes[b]: b for b, r in enumerate(self.rep) if r == b}
 
 
 class _BarComplex:
@@ -483,8 +477,7 @@ class _BarComplex:
     degree-d element of coefficient block b has d e_b (a module atom counts
     toward the block that holds it).  Every truncated matrix is therefore a
     direct sum of weight blocks, a few hundred of at most a few thousand
-    columns each.  _layout gives each column its block and its index within
-    the block.
+    columns each.  _layout gives each column its index within its block.
 
     Permuting the v's, or coefficient blocks of equal atom count (with
     their atoms), is an automorphism of the algebra and of the module; it
@@ -498,13 +491,12 @@ class _BarComplex:
     representative is passed over before its merges are read.  Rows are
     assembled in ascending output degree, packed on the local indices and
     appended to their block's bucket; each representative bucket is
-    eliminated on its own, every other block reads its representative's
-    rank, and the per-block ranks are cached per (q, top), so adjacent
-    bidegrees share them.  The filtration pass reads the representatives
-    with nonzero cohomology and counts each piece once per block of its
-    orbit.  Tensor counts, cochain dimensions, shapes and layouts are
-    memoized per instance, so a complex is freed together with its
-    HochschildComplex.
+    eliminated on its own and every other block reads its representative's
+    rank.  A cell assembles and ranks each of its matrices once, and the
+    filtration pass reads the same buckets for the representatives with
+    nonzero cohomology, counting each piece once per block of its orbit.
+    Tensor counts, cochain dimensions, shapes and layouts are memoized per
+    instance, so a complex is freed together with its HochschildComplex.
     """
 
     def __init__(self, hc: HochschildComplex, s: int):
@@ -520,7 +512,6 @@ class _BarComplex:
         sizes = [mask.bit_count() for mask in hc.blocks]
         self._groups = [[b for b, n in enumerate(sizes) if n == size] for size in sorted(set(sizes))]
         self._groups.append(list(range(hc.nj, hc.nj + hc.m)))
-        self._rank_cache: dict = {}
         self._count_cache: dict = {}
         self._dim_cache: dict = {}
         self._shape_cache: dict = {}
@@ -534,15 +525,18 @@ class _BarComplex:
         return self.hc.nj
 
     def tensor_count(self, q: int, e: int) -> int:
-        key = (q, e)
-        hit = self._count_cache.get(key)
-        if hit is None:
-            if q == 0:
-                hit = 1 if e == 0 else 0
-            else:
-                hit = sum(self.q_dim(d1) * self.tensor_count(q - 1, e - d1) for d1 in range(1, e + 1))
-            self._count_cache[key] = hit
-        return hit
+        """Number of q-factor words of degree e.
+
+        Counts are tabulated factor count by factor count, so a deep q is
+        reached in a loop, not by recursion.
+        """
+        counts = self._count_cache
+        if (q, e) not in counts:
+            for p, d in product(range(q + 1), range(e + 1)):
+                if (p, d) not in counts:
+                    terms = (self.q_dim(i) * counts.get((p - 1, d - i), 0) for i in range(1, d + 1))
+                    counts[(p, d)] = sum(terms) + (p == d == 0)
+        return counts[(q, e)]
 
     def last_degree(self, k: int) -> int | None:
         """Last argument degree with q-cochains for some q in k-1 .. k+1
@@ -555,7 +549,8 @@ class _BarComplex:
         if self.hc.nj:
             return None
         qs = range(max(k - 1, 0), k + 2)
-        return max((q for q in qs if self.tensor_count(q, q) * self.module_dim(q + self.s)), default=-1)
+        dim = self.hc.module_dim
+        return max((q for q in qs if self.tensor_count(q, q) * dim(q + self.s)), default=-1)
 
     def _shapes(self, q: int, e: int) -> dict[tuple, tuple[int, tuple]]:
         """Degree composition (d_1 .. d_q) -> (first word, radices) of its run.
@@ -583,23 +578,13 @@ class _BarComplex:
             self._shape_cache[key] = hit
         return hit
 
-    def module_dim(self, j: int) -> int:
-        return self.hc.alg.graded_dim(j) if j >= 0 else 0
-
     def cochain_dim(self, q: int, d: int) -> int:
         """Dimension of the q-cochains of argument degree <= d."""
-        if d < 0:
-            return 0
-        key = (q, d)
-        hit = self._dim_cache.get(key)
-        if hit is None:
-            hit = self.cochain_dim(q, d - 1) + self.tensor_count(q, d) * self.module_dim(d + self.s)
-            self._dim_cache[key] = hit
-        return hit
-
-    def degree_offset(self, q: int, e: int) -> int:
-        """Global column of the first q-cochain of argument degree e."""
-        return self.cochain_dim(q, e - 1)
+        sums = self._dim_cache.setdefault(q, [0])  # sums[e + 1]: degrees <= e, extended in a loop
+        while len(sums) <= d + 1:
+            e = len(sums) - 1
+            sums.append(sums[-1] + self.tensor_count(q, e) * self.hc.module_dim(e + self.s))
+        return sums[max(d + 1, 0)]
 
     def workload(self, k: int, d: int) -> int:
         """Node count of the largest matrix needed for cohomology at (k, <=d)."""
@@ -674,8 +659,8 @@ class _BarComplex:
 
     def _module_codes(self, j: int, radix: int) -> list[int]:
         """Weight code of each basis element of the degree-j module piece."""
-        alg = self.hc.alg
-        return [self._weight_code(alg.element(j, 1 << c), radix) for c in range(self.module_dim(j))]
+        basis = (self.hc.alg.element(j, 1 << c) for c in range(self.hc.module_dim(j)))
+        return [self._weight_code(x, radix) for x in basis]
 
     def _canonical(self, code: int, radix: int) -> int:
         """Weight code of the representative of the orbit of code: its digits
@@ -713,7 +698,7 @@ class _BarComplex:
         codes: list[int] = []
         counts: list[int] = []
         code = index_code(self.cochain_dim(q, top))
-        block, local = array(code), array(code)
+        local = array(code)
         starts = []
         for e in range(top + 1):
             starts.append(counts[:])
@@ -729,7 +714,6 @@ class _BarComplex:
                             b = ids[w] = len(codes)
                             codes.append(w)
                             counts.append(0)
-                        block.append(b)
                         local.append(counts[b])
                         counts[b] += 1
         starts.append(counts)
@@ -737,7 +721,7 @@ class _BarComplex:
         rep = array("i", [ids[self._canonical(w, radix)] for w in codes])
         sizes = Counter(rep)
         orbit = array("i", [sizes[r] for r in rep])
-        hit = _Layout(block, local, codes, starts, radix, factor_codes, rep, orbit)
+        hit = _Layout(local, codes, starts, radix, factor_codes, rep, orbit)
         self._layout_cache[key] = hit
         return hit
 
@@ -751,11 +735,11 @@ class _BarComplex:
         All its entries lie in the block of code mdeg(r) - mdeg(t) for word t
         and output coordinate r.  Repeated entries cancel mod 2.
         """
-        dim_out = self.module_dim(e + self.s)
+        dim_out = self.hc.module_dim(e + self.s)
         if not dim_out or not self.tensor_count(q + 1, e):
             return
         local = layout.local
-        reps = layout.representatives
+        reps = {layout.codes[b]: b for b, r in enumerate(layout.rep) if r == b}  # code -> block
         module = self._module_codes(e + self.s, layout.radix)
         picked: dict[int, list[tuple[int, int]]] = {}  # word code -> (r, block) of its rows
 
@@ -769,15 +753,15 @@ class _BarComplex:
         # none), and the input degree run it reads
         acting = {}
         for d in range(1, e + 1):
-            dim_in = self.module_dim(e - d + self.s)
+            dim_in = self.hc.module_dim(e - d + self.s)
             if not dim_in:
                 continue
             for i in range(self.q_dim(d)):
                 act = _action_rows(self.hc.alg, self._factor_element(d, i), e - d + self.s)
                 if any(act):
                     cols = [row.bit_length() - 1 for row in act]
-                    acting[(d, i)] = (cols, self.degree_offset(q, e - d), dim_in)
-        base_off = self.degree_offset(q, e)
+                    acting[(d, i)] = (cols, self.cochain_dim(q, e - d - 1), dim_in)
+        base_off = self.cochain_dim(q, e - 1)
         for first, head, last, tail, joined, pick in self._links(q, e, select):
             # outer terms: first factor acts on the right-truncated input,
             # last factor on the left-truncated input
@@ -800,13 +784,15 @@ class _BarComplex:
                 if packed:
                     yield b, packed
 
-    def _buckets(self, q: int, top: int) -> tuple[list[list[int]], list[array]]:
-        """Rows of the q-th coboundary truncated at top, one bucket per weight block.
+    def _block_ranks(self, q: int, top: int) -> tuple[array, list[list[int]], list[array]]:
+        """Rank of the q-th coboundary truncated at top on each weight block
+        of the q-cochains, with the rows it was read from.
 
-        Buckets are indexed by the blocks of the q-cochains and filled in
-        ascending output degree, the representative blocks only; ends[e][b]
-        is the length of bucket b once the rows of output degree e are in.
-        No row is wider than its block.
+        The rows go into one bucket per block, in ascending output degree,
+        for the representative blocks only; ends[e][b] is the length of
+        bucket b once the rows of output degree e are in, and no row is
+        wider than its block.  One echelon_rank per nonempty bucket; every
+        other block reads its representative's rank.
         """
         layout = self._layout(q, top)
         buckets: list[list[int]] = [[] for _ in layout.codes]
@@ -815,26 +801,8 @@ class _BarComplex:
             for b, packed in self._rows(q, e, layout):
                 buckets[b].append(packed)
             ends.append(array("i", map(len, buckets)))
-        return buckets, ends
-
-    def _block_ranks(self, q: int, top: int, keep: dict | None = None) -> array:
-        """Per weight block of the q-cochains, the rank of the truncated q-th coboundary on it.
-
-        One echelon_rank per nonempty representative bucket; every other
-        block reads its representative's rank.  Cached per (q, top); when the
-        ranks are computed here and keep is given, the buckets and their
-        degree ends are left in keep[q] for the filtration pass.
-        """
-        key = (q, top)
-        hit = self._rank_cache.get(key)
-        if hit is None:
-            buckets, ends = self._buckets(q, top)
-            ranks = [echelon_rank(rows) if rows else 0 for rows in buckets]
-            hit = array("i", [ranks[r] for r in self._layout(q, top).rep])
-            self._rank_cache[key] = hit
-            if keep is not None:
-                keep[q] = (buckets, ends)
-        return hit
+        ranks = [echelon_rank(rows) if rows else 0 for rows in buckets]
+        return array("i", [ranks[r] for r in layout.rep]), buckets, ends
 
     # -- cohomology ----------------------------------------------------------
 
@@ -863,21 +831,20 @@ class _BarComplex:
         highest-bit pivots at or above the first of them.  The coboundaries
         meeting them are the image of the (k-1)-th coboundary minus the
         image of its rows of output degree < d, whose rank is read off after
-        inserting the rows degree by degree.  Buckets assembled for the ranks
-        of this call are reused, so a fresh cell assembles each matrix once.
+        inserting the rows degree by degree.  Both passes read the rows
+        assembled for the ranks, so a cell assembles and ranks each matrix
+        once.
         """
         layout = self._layout(k, top)
         pieces = [0] * (top + 1)
-        if not layout.block:
+        if not layout.local:
             return pieces, ()
-        keep: dict = {}
-        h = list(layout.sizes)
-        for b, r in enumerate(self._block_ranks(k, top, keep)):
-            h[b] -= r
+        ranks_out, rows_out, _ = self._block_ranks(k, top)
+        h = [size - r for size, r in zip(layout.sizes, ranks_out)]
         lower = {}  # k-block -> the (k-1)-block of the same weight
         if k >= 1:
             ids = {w: b for b, w in enumerate(layout.codes)}
-            ranks_in = self._block_ranks(k - 1, top, keep)
+            ranks_in, rows_in, ends = self._block_ranks(k - 1, top)
             for b_in, w in enumerate(self._layout(k - 1, top).codes):
                 b = ids.get(w)
                 if b is not None:
@@ -890,14 +857,8 @@ class _BarComplex:
             shape = self._layout(q, top)
             widest = max(shape.sizes, default=0)
             orbits = sum(r == b for b, r in enumerate(shape.rep))
-            matrices.append(
-                BarBlocks(q, len(shape.block), len(shape.codes), widest, read[q], orbits)
-            )
-        if not blocks:
-            return pieces, tuple(matrices)
-        rows_out = (keep.get(k) or self._buckets(k, top))[0]
-        if k >= 1:
-            rows_in, ends = keep.get(k - 1) or self._buckets(k - 1, top)
+            columns = len(shape.local)
+            matrices.append(BarBlocks(q, columns, len(shape.codes), widest, read[q], orbits))
         for b in (b for b in blocks if layout.rep[b] == b):
             basis = EchelonBasis()
             basis.extend(rows_out[b])

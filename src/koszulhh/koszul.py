@@ -36,15 +36,22 @@ def count_admissible(m: int, n: int, k: int) -> int:
 
     A sequence is admissible when no two adjacent entries are the same atom
     generator.  Counted by splitting on the last entry: u ends free, w ends
-    in an atom.
+    in an atom, and one more entry maps (u, w) to (m (u + w), n u + (n - 1) w).
+    That step is applied k - 1 times to (m, n) by repeated squaring, so a
+    deep k costs a few multiplications.
     """
     if k < 0:
         raise ValueError("negative length")
     if k == 0:
         return 1
     u, w = m, n
-    for _ in range(k - 1):
-        u, w = m * (u + w), n * u + (n - 1) * w
+    a, b, c, d = m, m, n, n - 1
+    steps = k - 1
+    while steps:
+        if steps & 1:
+            u, w = a * u + b * w, c * u + d * w
+        a, b, c, d = a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d
+        steps >>= 1
     return u + w
 
 
@@ -61,7 +68,10 @@ class SequenceLinks(NamedTuple):
     prefix: array
 
 
-@lru_cache(maxsize=128)
+# the last 128 levels built, oldest first
+_levels: dict[tuple[int, int, int], SequenceLinks] = {}
+
+
 def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
     """The admissible length-k sequences over m free and n atom generators.
 
@@ -72,12 +82,31 @@ def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
     the same g; p[1:] ends where p ends, so it skips the same generator and
     that child has the same rank among its siblings.
 
+    A missing level is built bottom-up in a loop from the highest level
+    whose two levels below are kept, so a deep first call does not recurse.
+
     >>> links = sequence_links(0, 2, 3)  # (0, 1, 0), (1, 0, 1)
     >>> [list(a) for a in links]
     [[0, 1], [0, 1], [1, 0], [0, 1]]
     """
+    links = _levels.get((m, n, k))
+    if links is not None:
+        return links
     if k < 0:
         raise ValueError("negative length")
+    low = k
+    while low > 0 and not all((m, n, j) in _levels for j in range(max(low - 2, 0), low)):
+        low -= 1
+    for j in range(low, k + 1):
+        links = _level(m, n, j)
+        _levels[(m, n, j)] = links
+        if len(_levels) > 128:
+            del _levels[next(iter(_levels))]
+    return links
+
+
+def _level(m: int, n: int, k: int) -> SequenceLinks:
+    """Level k of sequence_links, built from the kept levels k-1 and k-2."""
     code = index_code(count_admissible(m, n, k))
     if k == 0:
         return SequenceLinks(*(array(code, [-1]) for _ in range(4)))

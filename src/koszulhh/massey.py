@@ -198,6 +198,21 @@ class DgAlgebra:
         return f"DgAlgebra(dims={list(self.dims)})"
 
 
+def product_count(alg: ConnectedSumAlgebra, top: int) -> int:
+    """Number of basis products from_connected_sum(alg, top) evaluates: the
+    pairs of basis elements of total degree at most top.  Every piece of
+    degree >= 2 has the dimension of degree 2, so the count is a polynomial.
+    """
+    g, a = alg.graded_dim(1), alg.graded_dim(2)
+
+    def upto(t: int) -> int:
+        return 0 if t < 0 else 1 + g * min(t, 1) + a * max(t - 1, 0)
+
+    t = top - 2  # the sum of upto(top - d) over d = 2 .. top
+    tail = (t + 1) + g * t + a * t * (t - 1) // 2 if t >= 0 else 0
+    return upto(top) + g * upto(top - 1) + a * tail
+
+
 def from_connected_sum(alg: ConnectedSumAlgebra, top: int) -> DgAlgebra:
     """The graded algebra itself as a dg algebra with zero differential."""
     dims = [alg.graded_dim(d) for d in range(top + 1)]

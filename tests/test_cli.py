@@ -16,7 +16,7 @@ from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex, _BarComplex
 from koszulhh.koszul import admissible_tuples, count_admissible
 from koszulhh.gf2 import to01
-from koszulhh.massey import dg_algebra_to_dict, from_connected_sum
+from koszulhh.massey import dg_algebra_to_dict, from_connected_sum, product_count
 from koszulhh.massey import extend_with_acyclic_pairs
 
 
@@ -285,22 +285,69 @@ def test_bar_oracle(capsys):
     assert all(0 < b["widestBlock"] < b["columns"] for b in shapes)
 
 
-def test_bar_oracle_past_the_last_degree_with_cochains_does_no_work():
-    # without atoms a bar word of q factors has degree q, so past degree
-    # k + 1 every piece is zero and costs nothing, however deep the request
+def run_child(argv, timeout):
+    """The command line in a fresh interpreter, killed after timeout seconds."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(koszulhh.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    argv = ["bar-oracle", "--v-dim", "1", "--k", "1", "--s", "0", "--max-internal-degree", "100000"]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "koszulhh.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=10,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_bar_oracle_past_the_last_degree_with_cochains_does_no_work():
+    # without atoms a bar word of q factors has degree q, so past degree
+    # k + 1 every piece is zero and costs nothing, however deep the request
+    argv = ["bar-oracle", "--v-dim", "1", "--k", "1", "--s", "0", "--max-internal-degree", "100000"]
+    proc = run_child(argv, timeout=10)
     assert proc.returncode == 0 and proc.stderr == ""
     rep = json.loads(proc.stdout)
     assert rep["skippedFrom"] is None and len(rep["factors"]) == 100_001
     assert all(f["increment"] == 0 for f in rep["factors"][3:])
     assert rep["factors"][-1]["cumulative"] == rep["koszulHh"]
+
+
+def test_deep_cohomological_degrees_run_without_recursion():
+    # sequences and bar words are reached level by level in a loop; with one
+    # atom every sequence longer than 1 repeats it, so the cochains are zero
+    bar = run_child(
+        ["bar-oracle", "--atoms", "1", "--k", "1100", "--s", "-1000", "--max-internal-degree", "2"],
+        timeout=20,
+    )
+    assert bar.returncode == 0 and "Traceback" not in bar.stderr
+    rep = json.loads(bar.stdout)
+    assert rep["koszulHh"] == 0 and [f["increment"] for f in rep["factors"]] == [0, 0, 0]
+    solve = run_child(
+        ["solve-coboundary", "--atoms", "1", "--k", "1100", "--s", "-1000", "--random"], timeout=20
+    )
+    assert solve.returncode == 0 and "Traceback" not in solve.stderr
+    rep = json.loads(solve.stdout)
+    assert rep["cochain"] == rep["primitive"] == "" and rep["verified"] is True
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--strong-check", "--max-n", "100000", "--samples", "1"),
+         "--max-n 100000: a defining system of 5,000,049,999 entries"),
+        (("--top", "100000", "--classes", "1:100,1:010"),
+         "--top 100000: a product table of 45,000,150,001 entries"),
+    ],
+)
+def test_massey_sizes_are_checked_before_any_work(argv, message):
+    proc = run_child(["massey", "--atoms", "3", *argv], timeout=20)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == f"cap exceeded: {message}\n"
+
+
+def test_massey_product_count_is_the_number_of_products_evaluated():
+    for m, n in ((0, 0), (2, 0), (0, 1), (1, 3)):
+        alg = ConnectedSumAlgebra(m, BooleanRing(n) if n else None)
+        for top in range(8):
+            dims = [alg.graded_dim(d) for d in range(top + 1)]
+            pairs = sum(dims[a] * dims[b] for a in range(top + 1) for b in range(top + 1 - a))
+            assert product_count(alg, top) == pairs, (m, n, top)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,6 @@ import pytest
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, Subring
 from koszulhh.coboundary import (
     _transport,
-    bottom_cocycles,
     extend_cocycle,
     extend_cocycle_split,
     head_tail,
@@ -366,19 +365,18 @@ def test_solve_coboundary_rejects_non_cocycle():
 def test_bottom_cocycles_vanish():
     for m, n in ((0, 3), (1, 1), (2, 0)):
         hc = complex_for(m, n)
-        assert [bottom_cocycles(hc, k) for k in (1, 2, 3, 4)] == [0, 0, 0, 0]
+        assert [hc.hh(k, -k).cocycles for k in (1, 2, 3, 4)] == [0, 0, 0, 0]
 
 
 def test_bottom_cocycles_small_algebras():
     # below three generators the bottom row does not clear out
-    assert [bottom_cocycles(complex_for(0, 1), k) for k in (1, 2, 3, 4)] == [1, 0, 0, 0]
-    assert [bottom_cocycles(complex_for(0, 2), k) for k in (1, 2, 3, 4)] == [0, 1, 0, 1]
-    assert [bottom_cocycles(complex_for(1, 0), k) for k in (1, 2, 3, 4)] == [1, 1, 1, 1]
+    def bottom(m, n):
+        hc = complex_for(m, n)
+        return [hc.hh(k, -k).cocycles for k in (1, 2, 3, 4)]
 
-
-def test_bottom_cocycles_rejects_degree_zero():
-    with pytest.raises(ValueError):
-        bottom_cocycles(complex_for(0, 3), 0)
+    assert bottom(0, 1) == [1, 0, 0, 0]
+    assert bottom(0, 2) == [0, 1, 0, 1]
+    assert bottom(1, 0) == [1, 1, 1, 1]
 
 
 def test_extend_identity_adjoin():

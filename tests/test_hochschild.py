@@ -6,6 +6,7 @@ import gc
 import random
 import weakref
 from array import array
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 from itertools import permutations
@@ -355,10 +356,10 @@ def _reference_bar_rows(bar, q, e):
     from the explicit words, with offsets and factor actions rebuilt for
     every word."""
     hc = bar.hc
-    dim_out = bar.module_dim(e + bar.s)
+    dim_out = hc.module_dim(e + bar.s)
 
     def offset(q, e):
-        return sum(bar.tensor_count(q, d) * bar.module_dim(d + bar.s) for d in range(e))
+        return sum(bar.tensor_count(q, d) * hc.module_dim(d + bar.s) for d in range(e))
 
     def index(q, e):
         return _reference_index(hc.m, hc.nj, q, e)
@@ -376,7 +377,7 @@ def _reference_bar_rows(bar, q, e):
         per_coord = [[] for _ in range(dim_out)]
         for w_act, rest in ((w[0], w[1:]), (w[-1], w[:-1])):
             e_in = e - w_act[0]
-            dim_in = bar.module_dim(e_in + bar.s)
+            dim_in = hc.module_dim(e_in + bar.s)
             if dim_in == 0:
                 continue
             act = _reference_action_rows(hc.alg, *factor_mask(w_act), w_act[0], e_in + bar.s)
@@ -414,7 +415,7 @@ def _reference_graded_cohomology(bar, k, top):
                 yield acc
 
     def offset(d):
-        return sum(bar.tensor_count(k, e) * bar.module_dim(e + bar.s) for e in range(d))
+        return sum(bar.tensor_count(k, e) * bar.hc.module_dim(e + bar.s) for e in range(d))
 
     def rank_cols_from(d):
         return echelon_rank(packed(k, d, top, offset(d)))
@@ -451,7 +452,7 @@ def _reference_weights(bar, q, top):
                     word[nb + i] += 1
                 else:
                     word[i - hc.m if d1 == 1 else i] += d1
-            for c in range(bar.module_dim(j)):
+            for c in range(hc.module_dim(j)):
                 module = [0] * (nb + hc.m)
                 if j == 1 and c < hc.m:
                     module[nb + c] = 1
@@ -459,6 +460,16 @@ def _reference_weights(bar, q, top):
                     module[atom_block(c - hc.m if j == 1 else c)] = j
                 out.append(tuple(x - y for x, y in zip(module, word)))
     return out
+
+
+def _weight_blocks(layout, weights):
+    """Block of each distinct reference weight, found through its code: the
+    weight's digits in base layout.radix.  The codes of the distinct weights
+    are exactly the layout's codes."""
+    ids = {code: b for b, code in enumerate(layout.codes)}
+    block_of = {w: ids[sum(x * layout.radix**p for p, x in enumerate(w))] for w in set(weights)}
+    assert sorted(block_of.values()) == list(range(len(layout.codes)))
+    return block_of
 
 
 # the four exceptional fixtures of the acceptance suite, coarser subrings
@@ -525,20 +536,18 @@ def test_every_bar_row_lies_in_one_weight_block(m, n, blocks, k, s):
     for q in range(max(k - 1, 0), k + 1):
         weights = _reference_weights(bar, q, top)
         layout = bar._layout(q, top)
-        # the layout's blocks are exactly the weights, and local indices
-        # count the block's columns in global order
-        assert len(layout.block) == len(weights) == bar.cochain_dim(q, top)
-        assert len(set(zip(weights, layout.block))) == len(set(weights)) == len(layout.codes)
-        seen = [0] * len(layout.codes)
-        for b, i in zip(layout.block, layout.local):
-            assert i == seen[b]
-            seen[b] += 1
-        assert list(layout.sizes) == seen
+        # the layout's blocks are exactly the weights, and the local index of
+        # a column counts the earlier columns of its weight
+        by_block = sorted(_weight_blocks(layout, weights).items(), key=lambda item: item[1])
+        assert len(layout.local) == len(weights) == bar.cochain_dim(q, top)
+        seen = Counter()
+        for w, i in zip(weights, layout.local):
+            assert i == seen[w]
+            seen[w] += 1
+        assert list(layout.sizes) == [seen[w] for w, _ in by_block]
         for d in range(top + 2):
-            below = [0] * len(layout.codes)
-            for b in layout.block[: bar.degree_offset(q, d)]:
-                below[b] += 1
-            assert list(layout.starts[d]) == below
+            below = Counter(weights[: bar.cochain_dim(q, d - 1)])
+            assert list(layout.starts[d]) == [below[w] for w, _ in by_block]
         # every row keeps the weight, so its support lies in one block, and
         # the full rank is the sum of the block ranks
         packed = []
@@ -547,7 +556,7 @@ def test_every_bar_row_lies_in_one_weight_block(m, n, blocks, k, s):
                 support = {c for c in entries if entries.count(c) % 2}
                 assert len({weights[c] for c in support}) <= 1, (q, e, support)
                 packed.append(sum(1 << c for c in support))
-        assert sum(bar._block_ranks(q, top)) == echelon_rank(packed)
+        assert sum(bar._block_ranks(q, top)[0]) == echelon_rank(packed)
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
@@ -591,8 +600,11 @@ def test_capped_bar_filtration_matches_the_per_floor_reference_on_every_cell(m, 
 def test_bar_filtration_over_every_block_equals_the_nonzero_blocks(m, n, blocks, k, s, monkeypatch):
     shortcut, every = _bar_complex(m, n, blocks, s), _bar_complex(m, n, blocks, s)
 
-    def no_ranks(q, top, keep=None):
-        return array("i", [0] * len(every._layout(q, top).codes))
+    block_ranks = every._block_ranks
+
+    def no_ranks(q, top):
+        ranks, buckets, ends = block_ranks(q, top)
+        return array("i", [0] * len(ranks)), buckets, ends
 
     # with every rank read as 0 every block counts as nonzero, so the
     # filtration is read from every block, zero ones included
@@ -602,7 +614,7 @@ def test_bar_filtration_over_every_block_equals_the_nonzero_blocks(m, n, blocks,
         everywhere = every.cohomology(k, top)
         assert pieces == everywhere[0]
         assert all(m.nonzero == m.blocks for m in everywhere[1][-1:])
-        # once the ranks are cached the buckets are assembled again
+        # a second call on the same complex assembles and ranks afresh
         assert (pieces, matrices) == shortcut.cohomology(k, top)
     # with atoms the shortcut leaves blocks out; on the two v-only cells
     # every block of C^k carries cohomology
@@ -643,9 +655,8 @@ def test_bar_orbits_are_the_weight_permutations(m, n, blocks, k, s):
     top = 5
     for q in range(max(k - 1, 0), k + 2):
         layout = bar._layout(q, top)
-        weight_of = dict(zip(layout.block, _reference_weights(bar, q, top)))
-        block_of = {w: b for b, w in weight_of.items()}
-        for b, w in weight_of.items():
+        block_of = _weight_blocks(layout, _reference_weights(bar, q, top))
+        for w, b in block_of.items():
             orbit = {block_of[image] for image in _reference_orbit(w, groups)}
             assert layout.rep[b] in orbit and {layout.rep[c] for c in orbit} == {layout.rep[b]}
             assert layout.orbit[b] == len(orbit)
@@ -663,7 +674,7 @@ def test_bar_orbit_sums_equal_the_elimination_of_every_block(m, n, blocks, k, s,
     for top in range(7):
         for q in range(max(k - 1, 0), k + 1):
             assert list(every._layout(q, top).orbit) == [1] * len(every._layout(q, top).codes)
-            assert orbits._block_ranks(q, top) == every._block_ranks(q, top)
+            assert orbits._block_ranks(q, top)[0] == every._block_ranks(q, top)[0]
         pieces, matrices = orbits.cohomology(k, top)
         everywhere = every.cohomology(k, top)
         assert pieces == everywhere[0]
@@ -678,17 +689,20 @@ def test_bar_orbit_sums_equal_the_elimination_of_every_block(m, n, blocks, k, s,
 
 def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):
     assembled = []
-    buckets = _BarComplex._buckets
+    block_ranks = _BarComplex._block_ranks
 
     def counted(bar, q, top):
         assembled.append(q)
-        return buckets(bar, q, top)
+        return block_ranks(bar, q, top)
 
-    monkeypatch.setattr(_BarComplex, "_buckets", counted)
+    monkeypatch.setattr(_BarComplex, "_block_ranks", counted)
     hc = HochschildComplex(ConnectedSumAlgebra(1, BooleanRing(3)))
     rep = hc.bar_oracle(2, -1, 6)
-    # a fresh nonzero cell assembles each of its two matrices once
-    assert sorted(assembled) == [1, 2]
+    # a nonzero cell assembles and ranks each of its two matrices once
+    assert assembled == [2, 1]
+    # and so does the same cell again: nothing is kept between cells
+    assert hc.bar_oracle(2, -1, 6) == rep and assembled == [2, 1, 2, 1]
+    assembled.clear()
     bar = hc._bar_cache[-1]
     assert [m.q for m in rep.matrices] == [1, 2]
     for m in rep.matrices:
@@ -698,23 +712,26 @@ def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):
         )
     # the blocks read again are those whose size exceeds the rank of the
     # coboundary out of them plus that into the block of their weight
-    into = dict(zip(bar._layout(1, 6).codes, bar._block_ranks(1, 6)))
+    into = dict(zip(bar._layout(1, 6).codes, bar._block_ranks(1, 6)[0]))
     layout = bar._layout(2, 6)
     hot = [
         w
-        for w, size, rank in zip(layout.codes, layout.sizes, bar._block_ranks(2, 6))
+        for w, size, rank in zip(layout.codes, layout.sizes, bar._block_ranks(2, 6)[0])
         if size - rank - into.get(w, 0)
     ]
     assert rep.matrices[1].nonzero == len(hot) > 0
     assert rep.matrices[0].nonzero == sum(w in into for w in hot)
+    assembled.clear()
     zero_cell = HochschildComplex(ConnectedSumAlgebra(0, BooleanRing(3))).bar_oracle(3, -1, 6)
-    assert zero_cell.matrices[1].nonzero == 0
+    assert zero_cell.matrices[1].nonzero == 0 and assembled == [3, 2]
     # k = 0: one matrix, no block below
+    assembled.clear()
     rep = hc.bar_oracle(0, 1, 6)
     layout = hc._bar_cache[1]._layout(0, 6)
     assert [(m.q, m.columns, m.blocks) for m in rep.matrices] == [
-        (0, len(layout.block), len(layout.codes))
+        (0, len(layout.local), len(layout.codes))
     ]
+    assert assembled == [0]
     # no 3-cochain has argument degree below 3, so the truncation at 2 is empty
     rep = hc.bar_oracle(3, -1, 2)
     assert rep.matrices == () and rep.skipped_from is None

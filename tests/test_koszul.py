@@ -94,6 +94,25 @@ def test_sequence_links_reject_negative_length():
         sequence_links(1, 2, -1)
 
 
+def test_sequence_links_reach_a_deep_level_in_a_loop():
+    # far past the recursion limit: the levels below are built bottom-up
+    deep = sequence_links(0, 2, 5000)  # the two alternating sequences
+    assert [list(a) for a in deep] == [[0, 1], [1, 0], [1, 0], [0, 1]]
+    assert [list(a) for a in sequence_links(1, 0, 3000)] == [[0]] * 4
+    # a level below the kept ones is built again from the bottom
+    assert [list(a) for a in sequence_links(0, 2, 2001)] == [[0, 1], [0, 1], [1, 0], [0, 1]]
+
+
+def test_count_admissible_by_squaring_equals_the_step_by_step_count():
+    for m in range(4):
+        for n in range(5):
+            u, w = m, n
+            for k in range(1, 60):
+                assert count_admissible(m, n, k) == u + w, (m, n, k)
+                u, w = m * (u + w), n * u + (n - 1) * w
+    assert count_admissible(0, 2, 10**6) == 2 and count_admissible(1, 0, 10**9) == 1
+
+
 def test_is_admissible_examples():
     # generators 0 is free, 1 and 2 are atoms
     assert is_admissible((0, 0, 0), 1)

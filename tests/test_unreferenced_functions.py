@@ -3,7 +3,8 @@
 A name counts as used when it is read anywhere in ``src/``, ``demos/`` or
 ``perfbench/`` outside its own body: as a name, an attribute, an imported
 name, or a dotted part of a string (the benchmark tracer names its targets
-in strings).  Tests do not count.  Dunder methods are called by Python
+in strings).  Tests do not count, and neither does the package's
+``__init__.py``: a re-export there is not a use.  Dunder methods are called by Python
 itself and are left out.  Only the standard library's ast is needed.
 """
 
@@ -17,7 +18,9 @@ PACKAGE = ROOT / "src" / "koszulhh"
 READERS = ("src", "demos", "perfbench")
 
 # name -> why it stays although the program never reads it
-ALLOWED: dict[str, str] = {}
+ALLOWED: dict[str, str] = {
+    "dg_algebra_to_dict": "the documented writer of the --dg-file format",
+}
 
 
 def defined_functions(source: str) -> set[str]:
@@ -84,7 +87,7 @@ def test_every_function_is_referenced():
         p.read_text()
         for top in READERS
         for p in (ROOT / top).rglob("*.py")
-        if "tests" not in p.relative_to(ROOT).parts
+        if "tests" not in p.relative_to(ROOT).parts and p != PACKAGE / "__init__.py"
     ]
     assert [name for name in unreferenced(sources, readers) if name not in ALLOWED] == []
     # an allowlisted name that the program does read is stale
