@@ -10,7 +10,7 @@ every cocycle in the relevant bidegrees, which is verified before returning.
 
 The same splitting mechanics extends cocycles along a refinement of the
 coefficient subring: each value splits along the adjoined element and its
-complement, and each part is transported through its own branch.
+complement, and one walk carries each part through its own branch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .algebra import Subring
 from .errors import NotACocycleError
 from .hochschild import Cochain, HochschildComplex
-from .koszul import child_position, count_admissible
+from .koszul import child_positions, count_admissible
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,9 @@ def orbit_decomposition(hc: HochschildComplex, k: int) -> list[Orbit]:
     """
     if k < 1:
         raise ValueError("orbits need positive length")
-    m, nj = hc.m, hc.nj
+    m = hc.m
     first, last, suffix, _ = hc.links(k)
+    back = child_positions(m, hc.nj, k - 1, suffix, first)
     seen = bytearray(len(first))
     orbits = []
     for start in range(len(first)):
@@ -56,12 +57,13 @@ def orbit_decomposition(hc: HochschildComplex, k: int) -> list[Orbit]:
             continue
         chain = [start]
         seen[start] = 1
+        # at k = 1 the rotation of an atom is admissible, but it is stable
         stable = first[start] == last[start] >= m
-        cur = start if stable else child_position(m, nj, k - 1, suffix[start], first[start])
+        cur = start if stable else back[start]
         while cur != start:
             chain.append(cur)
             seen[cur] = 1
-            cur = child_position(m, nj, k - 1, suffix[cur], first[cur])
+            cur = back[cur]
         orbits.append(Orbit(tuple(chain), stable, not stable and len(chain) == 1))
     return orbits
 
@@ -153,33 +155,30 @@ def solve_coboundary(hc: HochschildComplex, f: Cochain) -> Cochain:
 # -- extension along a subring refinement ----------------------------------
 
 
-def _coarse_images(hc2: HochschildComplex, hc: HochschildComplex, k: int, keep=None) -> list[int]:
-    """Per length-k sequence of hc2, the position of its image in hc, or -1.
+def _coarse_images(hc2: HochschildComplex, hc: HochschildComplex, k: int, x: int = 0) -> tuple:
+    """Per length-k sequence of hc2, the position of its image in hc (or -1),
+    and the sides of x its split entries take: 1 inside x, 2 outside, or-ed.
 
     hc2's blocks refine hc's, and the image replaces each block by the coarse
-    block holding it.  It is -1 when the image is not admissible, or when the
-    sequence has a generator g with keep[g] false.  Built level by level: the
-    image of u is the child of the image of u[:-1] with the image of u[-1].
+    block holding it; the position is -1 when the image is not admissible.
+    An entry is split when x splits its coarse block.  Built level by level:
+    the image of u is the child of the image of u[:-1] with the image of u[-1].
     """
     m = hc.m
-    parent = []
+    image, side = list(range(m)), [0] * m
     for b2 in hc2.blocks:
-        i = next(i for i, b in enumerate(hc.blocks) if b2 & b)
-        if b2 & ~hc.blocks[i]:
+        i, b = next((i, b) for i, b in enumerate(hc.blocks) if b2 & b)
+        if b2 & ~b:
             raise ValueError("refinement does not respect the old blocks")
-        parent.append(m + i)
-    image = list(range(m)) + parent
-    if keep is not None:
-        image = [h if kept else -1 for h, kept in zip(image, keep)]
-    pos = [0]
+        image.append(m + i)
+        side.append(0 if not b & x or not b & ~x else 1 if b2 & x else 2)
+    pos, sides = [0], [0]
     for j in range(k):
-        up_last = hc.links(j).last
         fine = hc2.links(j + 1)
-        pos = [
-            -1 if c < 0 or h < 0 or up_last[c] == h >= m else child_position(m, hc.nj, j, c, h)
-            for c, h in zip(map(pos.__getitem__, fine.prefix), map(image.__getitem__, fine.last))
-        ]
-    return pos
+        parents = map(pos.__getitem__, fine.prefix)
+        pos = child_positions(m, hc.nj, j, parents, map(image.__getitem__, fine.last))
+        sides = [sides[p] | side[g] for p, g in zip(fine.prefix, fine.last)]
+    return pos, sides
 
 
 def extend_cocycle(
@@ -203,17 +202,18 @@ def extend_cocycle(
 
 
 def _transport(hc: HochschildComplex, hc2: HochschildComplex, x: int, f: Cochain) -> Cochain:
-    """Values through the section that prefers the branch where x is one.
+    """Values through the two sections, one preferring each side of x.
 
-    A sequence of hc2 takes the value at its image when each of its atom
-    entries is the part of its coarse block inside x (the whole block when x
-    does not split it), and zero otherwise.
+    The near part of a value (the free part and the atoms in x) goes where
+    each split entry is inside x, the rest where each is outside.  So a
+    sequence of hc2 reads its image's value masked by its sides: all of it
+    (0), the near part (1), the rest (2) or nothing (3).
     """
-    m = hc.m
-    preferred = {b & x if b & x and b & ~x else b for b in hc.blocks}
-    keep = [g < m or hc2.blocks[g - m] in preferred for g in range(hc2.generator_count)]
-    images = _coarse_images(hc2, hc, f.k, keep)
-    return Cochain(f.k, f.s, tuple(f.values[c] if c >= 0 else 0 for c in images))
+    near = (x << hc.alg.v_dim) | ((1 << hc.alg.v_dim) - 1)
+    masks = (-1, near, ~near, 0)
+    images, sides = _coarse_images(hc2, hc, f.k, x)
+    vals = tuple(f.values[c] & masks[t] if c >= 0 else 0 for c, t in zip(images, sides))
+    return Cochain(f.k, f.s, vals)
 
 
 def restrict_cochain(hc2: HochschildComplex, hc: HochschildComplex, g: Cochain) -> Cochain:
@@ -224,7 +224,7 @@ def restrict_cochain(hc2: HochschildComplex, hc: HochschildComplex, g: Cochain) 
     sequences with that image.
     """
     vals = [0] * count_admissible(hc.m, hc.nj, g.k)
-    for u, c in enumerate(_coarse_images(hc2, hc, g.k)):
+    for u, c in enumerate(_coarse_images(hc2, hc, g.k)[0]):
         if c >= 0:
             vals[c] ^= g.values[u]
     return Cochain(g.k, g.s, tuple(vals))
@@ -237,8 +237,8 @@ def extend_cocycle_split(
 
     The free-generator part and the Boolean part inside x go through the
     branch where x is one, the Boolean part inside the complement of x
-    through the other branch; _transport is linear, so the first two share
-    one call.  The sum is verified as a cocycle restricting to f.
+    through the other branch; _transport takes both parts in one walk of the
+    refinement.  The sum is verified as a cocycle restricting to f.
     """
     ring = hc.alg.ring
     if ring is None:
@@ -252,12 +252,7 @@ def extend_cocycle_split(
     if new == old:
         return hc, f
     hc2 = HochschildComplex(hc.alg, new, hc.cap)
-    v_dim = hc.alg.v_dim
-    near = (x << v_dim) | ((1 << v_dim) - 1)
-    total = _transport(hc, hc2, x, Cochain(f.k, f.s, tuple(v & near for v in f.values)))
-    total = total + _transport(
-        hc, hc2, ring.complement(x), Cochain(f.k, f.s, tuple(v & ~near for v in f.values))
-    )
+    total = _transport(hc, hc2, x, f)
     if not hc2.is_cocycle(total):
         raise AssertionError("glued extension failed the cocycle check")
     if restrict_cochain(hc2, hc, total) != f:

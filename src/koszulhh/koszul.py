@@ -135,17 +135,22 @@ def _child_starts(m: int, n: int, j: int) -> array:
     return array(index_code(count_admissible(m, n, j + 1) + 1), accumulate(sizes, initial=0))
 
 
-def child_position(m: int, n: int, j: int, p: int, g: int) -> int:
-    """Position of p + (g,) among the length-(j+1) sequences, p a length-j position.
+def child_positions(m: int, n: int, j: int, parents, gens) -> list[int]:
+    """Position of p + (g,) among the length-(j+1) sequences, per length-j
+    position p in parents and generator g in gens; -1 where p or g is -1 or
+    where g is the atom p ends in.
 
     The children of p are contiguous and skip only the atom p ends in, so g
-    is their rank after that atom.  p + (g,) must be admissible.
+    is their rank after that atom.
 
-    >>> [child_position(0, 3, 1, 1, g) for g in (0, 2)]  # (1, 0), (1, 2)
-    [2, 3]
+    >>> child_positions(0, 3, 1, [1, 1, 1, -1], [0, 1, 2, 0])  # (1, 0), -, (1, 2), -
+    [2, -1, 3, -1]
     """
-    last = sequence_links(m, n, j).last[p]
-    return _child_starts(m, n, j)[p] + g - (m <= last < g)
+    last, start = sequence_links(m, n, j).last, _child_starts(m, n, j)
+    return [
+        -1 if p < 0 or g < 0 or (h := last[p]) == g >= m else start[p] + g - (m <= h < g)
+        for p, g in zip(parents, gens)
+    ]
 
 
 def capped_count(m: int, n: int, k: int, cap: int | None = None) -> int:

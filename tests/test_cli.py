@@ -16,7 +16,8 @@ from koszulhh.cli import main
 from koszulhh.hochschild import Cochain, HochschildComplex, _BarComplex
 from koszulhh.koszul import admissible_tuples, count_admissible
 from koszulhh.gf2 import to01
-from koszulhh.massey import dg_algebra_to_dict, from_connected_sum, product_count
+from koszulhh.massey import DgAlgebra, dg_algebra_from_dict, dg_algebra_to_dict
+from koszulhh.massey import from_connected_sum, product_count
 from koszulhh.massey import extend_with_acyclic_pairs
 
 
@@ -339,6 +340,38 @@ def test_massey_sizes_are_checked_before_any_work(argv, message):
     proc = run_child(["massey", "--atoms", "3", *argv], timeout=20)
     assert proc.returncode == 3 and proc.stdout == ""
     assert proc.stderr == f"cap exceeded: {message}\n"
+
+
+def test_dg_file_validation_visits_only_the_truncation_window(tmp_path, monkeypatch):
+    # dims [1, 320] with top 1: only products with the unit lie in the
+    # window, so validation costs a few products per basis vector
+    n = 320
+    vector = ["".join("1" if j == i else "0" for j in range(n)) for i in range(n)]
+    mult = {"0,0,0,0": "1"}
+    for i in range(n):
+        mult[f"0,0,1,{i}"] = mult[f"1,{i},0,0"] = vector[i]
+    data = {"dims": [1, n], "differentials": [[]], "multiplication": mult}
+    calls = []
+    product = DgAlgebra.product
+    monkeypatch.setattr(DgAlgebra, "product", lambda *a: calls.append(1) or product(*a))
+    dg_algebra_from_dict(data)
+    assert len(calls) <= 16 * (n + 1)
+
+    small = tmp_path / "small.json"
+    small.write_text(json.dumps(data))
+    proc = run_child(
+        ["massey", "--dg-file", str(small), "--classes", f"1:{vector[0]},1:{vector[1]}"], timeout=5
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["isZeroClass"] is True
+
+    # the basis triples of total degree at most 3 are over DEFAULT_CAP, and
+    # are counted before any product (the unit products are missing here)
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"dims": [1, 130, 130, 130], "differentials": [[], [], []]}))
+    proc = run_child(["massey", "--dg-file", str(big), "--classes", "1:" + "0" * 130], timeout=5)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "cap exceeded: dg algebra validation: 2,350,271 basis triples\n"
 
 
 def test_massey_product_count_is_the_number_of_products_evaluated():

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from koszulhh import koszul
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, Subring
 from koszulhh.coboundary import (
     _transport,
@@ -518,7 +519,42 @@ def test_restrict_and_transport_match_the_tuple_reference(m, n, coarse_blocks, a
                 # random cochains, not cocycles
                 g = hc2.cochain_from_bits(k, s, rng.getrandbits(hc2.cochain_dim(k, s)))
                 assert restrict_cochain(hc2, hc, g) == reference_restrict(hc2, hc, g)
+                # one walk carries the near part (the free part and the atoms
+                # in x) through x and the rest through the complement of x
                 f = hc.cochain_from_bits(k, s, rng.getrandbits(hc.cochain_dim(k, s)))
-                for branch in (x, ring.complement(x)):
-                    expected = reference_transport(hc, hc2, old, new, branch, f)
-                    assert _transport(hc, hc2, branch, f) == expected
+                near = (x << m) | ((1 << m) - 1)
+                near_part = Cochain(k, s, tuple(v & near for v in f.values))
+                far_part = Cochain(k, s, tuple(v & ~near for v in f.values))
+                expected = reference_transport(hc, hc2, old, new, x, near_part)
+                expected = expected + reference_transport(
+                    hc, hc2, old, new, ring.complement(x), far_part
+                )
+                assert _transport(hc, hc2, x, f) == expected
+
+
+def test_each_walk_reads_a_level_of_sequence_links_once(monkeypatch):
+    # the refinement and rotation walks take a whole level of child positions
+    # from one call, not one call per sequence; each job runs once first, so
+    # the count leaves out the building of levels and child starts
+    calls = []
+    links = koszul.sequence_links
+
+    def counted(*args):
+        calls.append(args)
+        return links(*args)
+
+    monkeypatch.setattr(koszul, "sequence_links", counted)
+    ring, k = BooleanRing(3), 6
+    hc = HochschildComplex(ConnectedSumAlgebra(1, ring), _subring(ring, ((0, 1), (2,))))
+    f = hc.random_cocycle(k, 1 - k, random.Random(6))
+    extend_cocycle_split(hc, ring.atom(0), f)
+    calls.clear()
+    extend_cocycle_split(hc, ring.atom(0), f)
+    assert len(calls) <= 3 * (k + 1)
+
+    hc = complex_for(1, 3)
+    f = hc.random_cocycle(k, -1, random.Random(6))
+    solve_coboundary(hc, f)
+    calls.clear()
+    solve_coboundary(hc, f)
+    assert len(calls) <= k + 1

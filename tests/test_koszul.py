@@ -17,7 +17,7 @@ from koszulhh.koszul import (
     admissible_in_generic_span,
     admissible_sequences,
     admissible_tuples,
-    child_position,
+    child_positions,
     count_admissible,
     koszul_space_generic,
     sequence_links,
@@ -53,15 +53,21 @@ def test_admissible_tuples_match_brute_force():
             assert len(got) == count_admissible(m, n, k)
 
 
-def test_child_position_matches_the_tuple_order():
+def test_child_positions_match_the_tuple_order():
     for m, n in [(0, 2), (1, 1), (0, 3), (1, 2), (2, 1), (2, 2)]:
         for j in range(0, 5):
             below = brute_force_admissible(m, n, j)
             index = {t: i for i, t in enumerate(brute_force_admissible(m, n, j + 1))}
-            for p, t in enumerate(below):
-                for g in range(m + n):
-                    if is_admissible(t + (g,), m):
-                        assert child_position(m, n, j, p, g) == index[t + (g,)]
+            pairs = [(p, g) for p in [-1, *range(len(below))] for g in range(-1, m + n)]
+            got = child_positions(m, n, j, *zip(*pairs))
+            for (p, g), c in zip(pairs, got):
+                if p < 0 or g < 0:
+                    assert c == -1
+                elif j and below[p][-1] == g >= m:
+                    # g is the atom p ends in
+                    assert c == -1
+                else:
+                    assert c == index[below[p] + (g,)]
 
 
 @settings(max_examples=80, deadline=None)
