@@ -277,3 +277,22 @@ def graded_multiply(alg: ConnectedSumAlgebra, u: GradedElement, w: GradedElement
     target = u.degree + w.degree
     atom_bits = alg.atom_part(u) & alg.atom_part(w)
     return alg.element(target, atom_bits)
+
+
+def action(alg: ConnectedSumAlgebra, x: GradedElement, j: int) -> list[int]:
+    """Multiplication by x from degree j, as the one source of each output.
+
+    Entry r is the basis index of degree j that x carries onto basis element
+    r of degree j + x.degree, or -1.  No output has two sources: the unit
+    goes to the bits of x, atom a to atom a when a is in x, and a v kills
+    every positive degree.
+    """
+    out = alg.graded_dim(j + x.degree)
+    if j < 0:
+        return [-1] * out
+    if x.degree == 0:
+        return [r if x.bits else -1 for r in range(out)]
+    if j == 0:
+        return [0 if x.bits >> r & 1 else -1 for r in range(out)]
+    atoms, shift = alg.atom_part(x), alg.v_dim if j == 1 else 0
+    return [r + shift if atoms >> r & 1 else -1 for r in range(out)]

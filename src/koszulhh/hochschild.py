@@ -11,9 +11,9 @@ ranks and kernels reduce to union-find on the coordinate graph.  Memory is
 linear in the cochain dimension; the (v_dim, atoms) = (2, 4) grid through
 k = 7 runs in about 83 MB.  Coboundaries of single cochains are computed
 sequence by sequence without building the matrix.  The action of a
-generator or bar tensor factor on the module is tabulated from
-algebra.graded_multiply, so this module does not repeat the basis layout or
-the product.
+generator or bar tensor factor on the module is read from algebra.action,
+the one table of the product, so this module does not repeat the basis
+layout or the product.
 
 The coefficient algebra may be built on a subring of the module's Boolean
 ring: sequences then run over the subring's blocks, which act on the module
@@ -50,7 +50,7 @@ from itertools import compress, count, product
 from math import prod
 from typing import Iterator
 
-from .algebra import ConnectedSumAlgebra, GradedElement, Subring, graded_multiply
+from .algebra import ConnectedSumAlgebra, GradedElement, Subring, action
 from .caps import DEFAULT_BAR_CAP
 from .gf2 import EchelonBasis, echelon_rank, index_code, pair_components, sparse_rank
 from .koszul import SequenceLinks, capped_count, count_admissible, sequence_links
@@ -165,20 +165,6 @@ class SparseDifferential:
         return len(self.first)
 
 
-def _action_rows(alg: ConnectedSumAlgebra, x: GradedElement, src_deg: int) -> list[int]:
-    """Rows of multiplication by x, module piece src_deg -> src_deg + x.degree.
-
-    Row r is the input bitmask producing output coordinate r, tabulated from
-    graded_multiply on the input basis; for a basis element or a block x each
-    row has at most one bit.
-    """
-    rows = [0] * alg.graded_dim(src_deg + x.degree)
-    for c in range(alg.graded_dim(src_deg)):
-        for r in _bits(graded_multiply(alg, x, alg.element(src_deg, 1 << c)).bits):
-            rows[r] |= 1 << c
-    return rows
-
-
 def _column_mask(cols: list[int]) -> int:
     """Bitmask with the given ascending column indices set."""
     buf = bytearray((cols[-1] >> 3) + 1)
@@ -259,10 +245,7 @@ class HochschildComplex:
         Generators act from module degree j to j+1, one input column per
         output coordinate at most.
         """
-        return [
-            [row.bit_length() - 1 for row in _action_rows(self.alg, self.generator_element(g), j)]
-            for g in range(self.generator_count)
-        ]
+        return [action(self.alg, self.generator_element(g), j) for g in range(self.generator_count)]
 
     def differential(self, k: int, s: int) -> SparseDifferential:
         """Matrix of the coboundary from bidegree (k, s) to (k+1, s).
@@ -757,9 +740,8 @@ class _BarComplex:
             if not dim_in:
                 continue
             for i in range(self.q_dim(d)):
-                act = _action_rows(self.hc.alg, self._factor_element(d, i), e - d + self.s)
-                if any(act):
-                    cols = [row.bit_length() - 1 for row in act]
+                cols = action(self.hc.alg, self._factor_element(d, i), e - d + self.s)
+                if max(cols) >= 0:
                     acting[(d, i)] = (cols, self.cochain_dim(q, e - d - 1), dim_in)
         base_off = self.cochain_dim(q, e - 1)
         for first, head, last, tail, joined, pick in self._links(q, e, select):

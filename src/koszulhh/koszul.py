@@ -15,7 +15,7 @@ equal adjacent atoms ("admissible sequences").  This module provides
 * a degreewise Koszulity verifier for the two-sided complex alg (x) K (x) alg,
   whose strand differentials are stored as column pairs (each basis element
   has at most two terms in its image) and ranked by gf2.sparse_rank, with
-  products read from one table of algebra.graded_multiply.
+  products read from algebra.action, inverted once per generator.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .algebra import ConnectedSumAlgebra, graded_multiply
+from .algebra import ConnectedSumAlgebra, action
 from .caps import check_cap
 from .gf2 import BitMatrix, EchelonBasis, index_code, sparse_rank
 
@@ -271,17 +271,15 @@ class KoszulReport:
 
 def _product_table(alg: ConnectedSumAlgebra, top: int) -> list[list[list[int]]]:
     """mul[p][g][a]: the basis index of (basis element a of alg_p) * (generator g)
-    in alg_(p+1), or -1 when that product is zero, for p < top."""
-    return [
-        [
-            [
-                graded_multiply(alg, alg.element(p, 1 << a), alg.generator(g)).bits.bit_length() - 1
-                for a in range(alg.graded_dim(p))
-            ]
-            for g in range(alg.gen_count)
-        ]
-        for p in range(top)
-    ]
+    in alg_(p+1), or -1 when that product is zero, for p < top; each row
+    inverts action(alg, generator g, p)."""
+    mul = [[[-1] * alg.graded_dim(p) for _ in range(alg.gen_count)] for p in range(top)]
+    for p, rows in enumerate(mul):
+        for g, row in enumerate(rows):
+            for r, a in enumerate(action(alg, alg.generator(g), p)):
+                if a >= 0:
+                    row[a] = r
+    return mul
 
 
 def _strand(alg: ConnectedSumAlgebra, d: int, links: list[SequenceLinks], mul):
@@ -339,7 +337,7 @@ def verify_koszul(
     i > 0 and homology of dimension dim alg_d at i = 0.  The differential
     multiplies the first Koszul entry into the left factor and the last into
     the right factor; both images are again admissible.  Products come from
-    one table of graded_multiply.
+    one table, read from algebra.action.
     """
     if max_internal_degree < 1:
         raise ValueError("need at least one internal degree")

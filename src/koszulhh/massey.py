@@ -15,10 +15,11 @@ backwards along a surjective quasi-isomorphism.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import ConnectedSumAlgebra, GradedElement, graded_multiply
+from .algebra import ConnectedSumAlgebra, GradedElement, action
 from .caps import MASSEY_CAP, check_cap
 from .errors import InvalidDefiningSystemError, NotACocycleError
 from .gf2 import BitMatrix, EchelonBasis, from01, to01
@@ -220,14 +221,9 @@ def from_connected_sum(alg: ConnectedSumAlgebra, top: int) -> DgAlgebra:
     for d1 in range(top + 1):
         for i1 in range(dims[d1]):
             for d2 in range(top + 1 - d1):
-                for i2 in range(dims[d2]):
-                    prod = graded_multiply(
-                        alg,
-                        alg.element(d1, 1 << i1),
-                        alg.element(d2, 1 << i2),
-                    )
-                    if prod.bits:
-                        mult[(d1, i1, d2, i2)] = prod.bits
+                for r, i2 in enumerate(action(alg, GradedElement(d1, 1 << i1), d2)):
+                    if i2 >= 0:
+                        mult[(d1, i1, d2, i2)] = 1 << r
     return DgAlgebra(dims, diffs, mult, unit_bits=1, validate=False)
 
 
@@ -764,8 +760,15 @@ def dg_algebra_to_dict(alg: DgAlgebra) -> dict:
     }
 
 
+# int() also reads spaces, underscores and non-ASCII digits, so two spellings
+# of one key could collide; a product key is matched against this first
+_PRODUCT_KEY = re.compile(r"-?[0-9]+(,-?[0-9]+){3}")
+
+
 def dg_algebra_from_dict(data: dict) -> DgAlgebra:
-    dims = [int(x) for x in data["dims"]]
+    dims = data["dims"]
+    if not isinstance(dims, list) or any(type(x) is not int for x in dims):
+        raise ValueError(f"dims must be a list of integers, got {dims!r}")
     diffs = []
     for d, rows in enumerate(data["differentials"]):
         if rows:
@@ -782,9 +785,17 @@ def dg_algebra_from_dict(data: dict) -> DgAlgebra:
     texts = [("unit", 0, data.get("unit", "1"))]
     mult = {}
     for key, val in table.items():
-        d1, i1, d2, i2 = (int(x) for x in key.split(","))
-        mult[(d1, i1, d2, i2)] = from01(val)
-        texts.append((f"product {key}", d1 + d2, val))
+        if not _PRODUCT_KEY.fullmatch(key):
+            raise ValueError(f"product key {key!r} is not four comma-separated integers")
+        pair = tuple(int(x) for x in key.split(","))
+        if pair in mult:
+            raise ValueError(f"product key {key} repeats an earlier key")
+        mult[pair] = val
+        texts.append((f"product {key}", pair[0] + pair[2], val))
+    for name, _, text in texts:
+        if not isinstance(text, str):
+            raise ValueError(f"{name} must be a 0/1 string, got {text!r}")
+    mult = {pair: from01(val) for pair, val in mult.items()}
     alg = DgAlgebra(dims, diffs, mult, unit_bits=from01(texts[0][2]), validate=False)
     for name, d, text in texts:
         if len(text) != alg.dim(d):

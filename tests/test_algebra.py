@@ -11,6 +11,7 @@ from koszulhh.algebra import (
     ConnectedSumAlgebra,
     GradedElement,
     Subring,
+    action,
     graded_multiply,
     ideal_decompose,
     ideal_membership,
@@ -145,6 +146,29 @@ def test_product_is_commutative_and_associative():
         left = graded_multiply(alg, graded_multiply(alg, a, b), c)
         right = graded_multiply(alg, a, graded_multiply(alg, b, c))
         assert left == right
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(3) for n in range(4)])
+def test_action_is_the_table_of_graded_multiply(m, n):
+    # every basis element and every block mask of degree 0..3, acting on
+    # every degree -1..3: entry r of the table is the one basis element whose
+    # product with x has bit r
+    alg = ConnectedSumAlgebra(m, BooleanRing(n) if n else None)
+    masks = range(1, 1 << n)
+    elements = [alg.element(0, 1)]
+    elements += [alg.generator(g) for g in range(alg.gen_count)]
+    elements += [alg.from_parts(1, 0, mask) for mask in masks]
+    elements += [alg.element(d, mask) for d in (2, 3) for mask in masks]
+    for x in elements:
+        for j in range(-1, 4):
+            expected = [-1] * alg.graded_dim(j + x.degree)
+            for c in range(alg.graded_dim(j)):
+                image = graded_multiply(alg, x, alg.element(j, 1 << c)).bits
+                for r in range(len(expected)):
+                    if image >> r & 1:
+                        assert expected[r] == -1, (x, j, r)
+                        expected[r] = c
+            assert action(alg, x, j) == expected, (x, j)
 
 
 def test_parts_round_trip():

@@ -612,6 +612,16 @@ def test_massey_usage_errors(capsys, tmp_path):
     code, out, err = run(capsys, "massey", "--dg-file", str(short),
                          "--classes", "1:10,2:01")
     assert code == 0
+    # the file the malformed cases below each break in one place
+    unit = tmp_path / "unit.json"
+    unit.write_text('{"dims": [1, 1], ' + UNIT_PRODUCTS + "}")
+    code, out, err = run(capsys, "massey", "--dg-file", str(unit), "--classes", "1:1,1:1")
+    assert code == 0 and json.loads(out)["algebra"]["dgDims"] == [1, 1]
+
+
+# the products with the unit of a dg algebra with dims [1, 1]: with
+# those dims the file is valid
+UNIT_PRODUCTS = '"differentials": [[]], "multiplication": {"0,0,0,0": "1", "0,0,1,0": "1", "1,0,0,0": "1"}'
 
 
 @pytest.mark.parametrize(
@@ -630,6 +640,25 @@ def test_massey_usage_errors(capsys, tmp_path):
          "error: bad dg algebra file: unit needs 1 bits, got 4"),
         ('{"dims": [2, 2, 1], "differentials": [[], []], "unit": "1"}',
          "error: bad dg algebra file: unit needs 2 bits, got 1"),
+        # dims, keys and bit strings that int() or from01 would coerce
+        ('{"dims": [1, 1.9], ' + UNIT_PRODUCTS + "}",
+         "error: bad dg algebra file: dims must be a list of integers, got [1, 1.9]"),
+        ('{"dims": "11", ' + UNIT_PRODUCTS + "}",
+         "error: bad dg algebra file: dims must be a list of integers, got '11'"),
+        ('{"dims": [1, true], ' + UNIT_PRODUCTS + "}",
+         "error: bad dg algebra file: dims must be a list of integers, got [1, True]"),
+        ('{"dims": [1, 1], ' + UNIT_PRODUCTS.replace('"0,0,1,0"', '" 0,0,1,0"') + "}",
+         "error: bad dg algebra file: product key ' 0,0,1,0' is not four comma-separated"),
+        ('{"dims": [1, 1], ' + UNIT_PRODUCTS.replace('"0,0,1,0"', '"0_0,0,1,0"') + "}",
+         "error: bad dg algebra file: product key '0_0,0,1,0' is not four comma-separated"),
+        ('{"dims": [1, 1], ' + UNIT_PRODUCTS.replace('"0,0,1,0"', '"0,0,1,٠"') + "}",
+         "error: bad dg algebra file: product key '0,0,1,٠' is not four comma-separated"),
+        ('{"dims": [1, 1], ' + UNIT_PRODUCTS.replace("}", ', "0,0,1,00": "1"}') + "}",
+         "error: bad dg algebra file: product key 0,0,1,00 repeats an earlier key"),
+        ('{"dims": [1, 1], "unit": 1, ' + UNIT_PRODUCTS + "}",
+         "error: bad dg algebra file: unit must be a 0/1 string, got 1"),
+        ('{"dims": [1, 1], ' + UNIT_PRODUCTS.replace('"1,0,0,0": "1"', '"1,0,0,0": 1') + "}",
+         "error: bad dg algebra file: product 1,0,0,0 must be a 0/1 string, got 1"),
     ],
 )
 def test_massey_dg_file_errors_exit_2_in_one_line(capsys, tmp_path, content, message):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulhh import koszul
-from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, GradedElement
+from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra
 from koszulhh.errors import CapExceeded
 from koszulhh.koszul import (
     _product_table,
@@ -266,14 +266,13 @@ def test_verify_koszul_fails_when_the_differential_does_not_square_to_zero(monke
 def test_verify_koszul_fails_when_degree_two_products_vanish(monkeypatch):
     # with every product of a degree-2 element zero, the strand of internal
     # degree 3 keeps homology at positions 0 and 1
-    real = koszul.graded_multiply
+    real = koszul.action
 
-    def product(alg, u, w):
-        if 2 in (u.degree, w.degree):
-            return GradedElement(u.degree + w.degree, 0)
-        return real(alg, u, w)
+    def table(alg, x, j):
+        sources = real(alg, x, j)
+        return [-1] * len(sources) if 2 in (x.degree, j) else sources
 
-    monkeypatch.setattr(koszul, "graded_multiply", product)
+    monkeypatch.setattr(koszul, "action", table)
     rep = verify_koszul(ConnectedSumAlgebra(1, BooleanRing(2)), 3)
     assert not rep.passed
     assert rep.failures == ((3, 0, 4), (3, 1, 2))
