@@ -15,7 +15,11 @@ equal adjacent atoms ("admissible sequences").  This module provides
 * a degreewise Koszulity verifier for the two-sided complex alg (x) K (x) alg,
   whose strand differentials are stored as column pairs (each basis element
   has at most two terms in its image) and ranked by gf2.sparse_rank, with
-  products read from algebra.action, inverted once per generator.
+  products read from algebra.action, inverted once per generator.  A strand
+  visits only the degrees where the algebra is nonzero and is built by
+  columns, one pass over the sequences per block and left basis element;
+  d∘d = 0 is checked over whole arrays, and the rows are walked one by one
+  only when that check fails.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import ne
 from typing import NamedTuple
 
 from .algebra import ConnectedSumAlgebra, action
@@ -282,49 +287,81 @@ def _product_table(alg: ConnectedSumAlgebra, top: int) -> list[list[list[int]]]:
     return mul
 
 
-def _strand(alg: ConnectedSumAlgebra, d: int, links: list[SequenceLinks], mul):
+def _strand(dims: list[int], d: int, links: list[SequenceLinks], mul):
     """Position sizes of the internal-degree-d strand, and its differentials.
 
-    Position i is the sum of the nonzero blocks alg_p (x) K_i (x) alg_q,
-    q = d - i - p, laid out by ascending p; the flat index within a block is
-    (a * |K_i| + t) * dim alg_q + b.  The differentials from i = 1..d to i - 1
-    come lazily as column pairs: per basis element of position i, in flat
-    order, the flat index of (a * u[0]) (x) u[1:] (x) b, then that of
+    dims[j] is dim alg_j for j <= d + 1.  Position i is the sum of the
+    nonzero blocks alg_p (x) K_i (x) alg_q, q = d - i - p, laid out by
+    ascending p; the flat index within a block is (a * |K_i| + t) * dim alg_q
+    + b.  Only the degrees p with alg_p nonzero are visited, so an algebra
+    with no atoms costs O(d) per strand.  The differentials from i = 1..d to
+    i - 1 come lazily as column pairs: per basis element of position i, in
+    flat order, the flat index of (a * u[0]) (x) u[1:] (x) b, then that of
     a (x) u[:-1] (x) (u[-1] * b), -1 for a zero product.  The two lie in the
-    blocks p + 1 and p, so they never cancel.
+    blocks p + 1 and p, so they never cancel.  They are built by columns:
+    for one block and left basis element a, one pass over the sequences
+    gives every u's images, which fill the rows b, b + dim alg_q, ... of
+    that stretch for each right basis element b.
     """
-    dim = alg.graded_dim
+    degrees = [p for p in range(d + 1) if dims[p]]
     offsets, sizes = [], []
     for i in range(d + 1):
-        count = len(links[i].first)
-        block_at, pos = {}, 0
-        for p in range(d - i + 1):
-            if dim(p) and dim(d - i - p) and count:
+        count, block_at, pos = len(links[i].first), {}, 0
+        for p in degrees if count else ():
+            q = d - i - p
+            if q < 0:
+                break
+            if dims[q]:
                 block_at[p] = pos
-                pos += dim(p) * count * dim(d - i - p)
+                pos += dims[p] * count * dims[q]
         offsets.append(block_at)
         sizes.append(pos)
 
     def differential(i: int) -> tuple[array, array]:
         below, width, code = offsets[i - 1], len(links[i - 1].first), index_code(sizes[i - 1])
-        first, second = array(code), array(code)
-        for p in offsets[i]:
+        heads, tails, suffix, prefix = links[i]
+        first, second = array(code, [-1]) * sizes[i], array(code, [-1]) * sizes[i]
+        for p, start in offsets[i].items():
             q = d - i - p
-            dim_q = dim(q)
-            absent = array(code, [-1]) * dim_q
-            for a in range(dim(p)):
-                for g0, g1, r, l in zip(*links[i]):
-                    a2 = mul[p][g0][a]
-                    if a2 < 0:
-                        first.extend(absent)
-                    else:
-                        base = below[p + 1] + (a2 * width + r) * dim_q
-                        first.extend(range(base, base + dim_q))
-                    base = below.get(p, 0) + (a * width + l) * dim(q + 1)
-                    second.extend([base + b2 if b2 >= 0 else -1 for b2 in mul[q][g1]])
+            dim_q, dim_r = dims[q], dims[q + 1]
+            up, here, stride = below.get(p + 1, 0), below.get(p, 0), len(heads) * dim_q
+            # moved[b][g]: the basis index of g * b in alg_(q+1), or -1
+            moved = [[row[b] for row in mul[q]] for b in range(dim_q)]
+            for a in range(dims[p]):
+                left = [row[a] for row in mul[p]]
+                # per sequence u: the row that (a * u[0]) (x) u[1:] (x) b takes
+                # for b = 0 (-1: none), and where a (x) u[:-1] (x) alg_(q+1) starts
+                ups = [
+                    up + (x * width + r) * dim_q if (x := left[g]) >= 0 else -1
+                    for g, r in zip(heads, suffix)
+                ]
+                heres = [here + (a * width + l) * dim_r for l in prefix]
+                for b, right in enumerate(moved):
+                    rows = slice(start + b, start + stride, dim_q)
+                    first[rows] = array(code, [c + b if c >= 0 else -1 for c in ups])
+                    second[rows] = array(
+                        code, [c + y if (y := right[g]) >= 0 else -1 for c, g in zip(heres, tails)]
+                    )
+                start += stride
         return first, second
 
     return sizes, map(differential, range(1, d + 1))
+
+
+def _squares_to_zero(first: array, second: array, low_first: array, low_second: array) -> bool:
+    """Does every row of the pair differential (first, second) map to zero
+    under (low_first, low_second), whose arrays end in a -1 for index -1?
+
+    The image of a basis element in block p has one entry in block p + 1 and
+    one in p; two steps down, (a * u[0] * u[1]) (x) u[2:] (x) b lies alone in
+    block p + 2 and a (x) u[:-2] (x) (u[-2] * u[-1] * b) alone in block p, so
+    both must be absent, and the two terms in block p + 1 must be equal.
+    """
+    return (
+        max(map(low_first.__getitem__, first), default=-1) < 0
+        and max(map(low_second.__getitem__, second), default=-1) < 0
+        and not any(map(ne, map(low_second.__getitem__, first), map(low_first.__getitem__, second)))
+    )
 
 
 def verify_koszul(
@@ -345,21 +382,21 @@ def verify_koszul(
     capped_count(m, n, max_internal_degree, cap)
     links = [sequence_links(m, n, i) for i in range(max_internal_degree + 1)]
     mul = _product_table(alg, max_internal_degree)
-    dim = alg.graded_dim
+    dims = [alg.graded_dim(j) for j in range(max_internal_degree + 2)]
     failures: list[tuple[int, int, int]] = []
     checked = 0
 
     for d in range(1, max_internal_degree + 1):
-        sizes, differentials = _strand(alg, d, links, mul)
+        sizes, differentials = _strand(dims, d, links, mul)
         ranks = [0] * (d + 2)
         below = None
         for i, (first, second) in enumerate(differentials, 1):
             ranks[i] = sparse_rank(first, second, sizes[i - 1])
             checked += 1
-            if below is not None:
-                # boundary of boundary: the four entries two steps down must
-                # cancel in pairs; the two entries of one image lie in
-                # different blocks, so no value occurs more than twice
+            if below is not None and not _squares_to_zero(first, second, *below):
+                # the rows one by one, for the failure counts: the four entries
+                # two steps down must cancel in pairs, and no value occurs
+                # more than twice
                 low_first, low_second = below
                 for e1, e2 in zip(first, second):
                     quad = (
@@ -369,11 +406,14 @@ def verify_koszul(
                     left = sum(1 for c in quad if c >= 0 and quad.count(c) == 1)
                     if left:
                         failures.append((d, -i, left))
+            # a trailing -1 makes an absent entry read as absent two steps down
+            first.append(-1)
+            second.append(-1)
             below = first, second
 
         for i in range(d + 1):
             h = sizes[i] - ranks[i] - ranks[i + 1]
-            expected = dim(d) if i == 0 else 0
+            expected = dims[d] if i == 0 else 0
             if h != expected:
                 failures.append((d, i, h))
 

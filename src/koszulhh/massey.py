@@ -3,13 +3,17 @@
 A :class:`DgAlgebra` stores one basis per degree up to a truncation bound,
 the differentials as bit matrices and the multiplication as a table over
 basis pairs.  Products landing above the truncation bound are zero, which
-keeps the quotient honest: the axioms are validated inside the window.
+keeps the quotient honest: the axioms are validated inside the window.  The
+algebra holds whether its differential is zero and, per degree pair, the
+rows of basis products that its product reads; a zero factor returns at once.
 
 On top of that sit defining systems for n-fold Massey products, the
-brute-force enumeration of every defining system for small inputs, the
-statistical check that products with vanishing neighbouring cups vanish,
-and the transfer of cocycles, coboundaries and whole defining systems
-backwards along a surjective quasi-isomorphism.
+enumeration of every defining system for small inputs (each interior
+entry's cocycle sums walked in Gray-code order, so that a step moves each
+relation term the entry completes by one stored product), the statistical
+check that products with vanishing neighbouring cups vanish, and the
+transfer of cocycles, coboundaries and whole defining systems backwards
+along a surjective quasi-isomorphism.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ConnectedSumAlgebra, GradedElement, action
@@ -51,6 +56,7 @@ class DgAlgebra:
         self.dims = tuple(int(d) for d in dims)
         if not self.dims or any(d < 0 for d in self.dims):
             raise ValueError("need one nonnegative dimension per degree")
+        self.top = len(self.dims) - 1
         self.diffs = tuple(diffs)
         if len(self.diffs) != self.top:
             raise ValueError("need exactly one differential per degree below top")
@@ -66,12 +72,12 @@ class DgAlgebra:
         if unit_bits >> self.dim(0):
             raise ValueError("unit does not fit degree 0")
         self.unit = GradedElement(0, unit_bits)
+        self._zero_differential = all(mat.is_zero() for mat in self.diffs)
+        # _rows[(d1, d2)][i1][i2]: the product of basis vectors i1 and i2 in
+        # degrees d1 and d2, tabulated from mult the first time the pair is read
+        self._rows: dict[tuple[int, int], list[list[int]]] = {}
         if validate:
             self.validate()
-
-    @property
-    def top(self) -> int:
-        return len(self.dims) - 1
 
     def dim(self, d: int) -> int:
         if 0 <= d <= self.top:
@@ -94,25 +100,32 @@ class DgAlgebra:
 
     def diff(self, a: GradedElement) -> GradedElement:
         d = a.degree
-        if d < 0 or d >= self.top:
+        if not a.bits or self._zero_differential or d < 0 or d >= self.top:
             return self.zero(d + 1)
         return GradedElement(d + 1, self.diffs[d].mul_vec(a.bits))
 
     def product(self, a: GradedElement, b: GradedElement) -> GradedElement:
-        d = a.degree + b.degree
-        if d > self.top:
-            return self.zero(d)
+        d1, d2 = a.degree, b.degree
+        if d1 + d2 > self.top or not a.bits or not b.bits:
+            return self.zero(d1 + d2)
+        rows = self._rows.get((d1, d2))
+        if rows is None:
+            get = self.mult.get
+            rows = self._rows[(d1, d2)] = [
+                [get((d1, i, d2, j), 0) for j in range(self.dim(d2))] for i in range(self.dim(d1))
+            ]
         out = 0
         abits = a.bits
         while abits:
-            i = (abits & -abits).bit_length() - 1
-            abits &= abits - 1
+            low = abits & -abits
+            abits ^= low
+            row = rows[low.bit_length() - 1]
             bbits = b.bits
             while bbits:
-                j = (bbits & -bbits).bit_length() - 1
-                bbits &= bbits - 1
-                out ^= self.mult.get((a.degree, i, b.degree, j), 0)
-        return GradedElement(d, out)
+                low = bbits & -bbits
+                bbits ^= low
+                out ^= row[low.bit_length() - 1]
+        return GradedElement(d1 + d2, out)
 
     def validate(self) -> None:
         """Check the axioms on the basis pairs and triples inside the truncation
@@ -182,7 +195,7 @@ class DgAlgebra:
         return None if x is None else GradedElement(d - 1, x)
 
     def has_zero_differential(self) -> bool:
-        return all(mat.is_zero() for mat in self.diffs)
+        return self._zero_differential
 
     def random_element(self, d: int, rng: random.Random) -> GradedElement:
         return GradedElement(d, rng.getrandbits(self.dim(d)) if self.dim(d) else 0)
@@ -372,6 +385,12 @@ class CohomologyClass:
         return self.algebra.is_coboundary(self.element ^ other.element)
 
 
+@lru_cache(maxsize=16)
+def _slots(n: int) -> tuple[tuple[int, int], ...]:
+    """The entry positions of an n-fold defining system, by span then start."""
+    return tuple((i, i + span) for span in range(1, n) for i in range(1, n + 2 - span))
+
+
 @dataclass
 class DefiningSystem:
     """Entries ``a[i, j]`` for ``1 <= i < j <= n + 1`` minus the corner.
@@ -397,12 +416,7 @@ class DefiningSystem:
 
     def slots(self) -> list[tuple[int, int]]:
         """All entry positions, ordered by span then start."""
-        out = []
-        for span in range(1, self.n):
-            for i in range(1, self.n + 2 - span):
-                if (i, i + span) != (1, self.n + 1):
-                    out.append((i, i + span))
-        return out
+        return list(_slots(self.n))
 
     def relation(self, i: int, j: int) -> int:
         """Bits of the sum of ``entry(i, t) * entry(t, j)`` over ``i < t < j``:
@@ -504,8 +518,11 @@ def massey_product_set(
     The set depends only on the classes, so the adjacent entries are the
     given representatives; each interior entry is one preimage of its
     relation plus any sum of cocycles.  The 2**(interior cocycle dimensions)
-    systems are checked against ``cap`` (``MASSEY_CAP`` when None) first.  A
-    class is its remainder modulo the coboundaries on lowest-bit pivots.
+    systems are checked against ``cap`` (``MASSEY_CAP`` when None) first.
+    Each inner entry walks its cocycle sums in Gray-code order, and every
+    relation keeps the sum of its terms whose factors are set, so a step
+    costs one XOR per term the entry completes.  A class is its remainder
+    modulo the coboundaries on lowest-bit pivots.
     The outer entries (1, n) and (2, n + 1) are read by no relation but the
     corner's, and there only through products with the fixed end
     representatives, so their cocycles move every product by the same
@@ -526,17 +543,16 @@ def massey_product_set(
     check_cap(message, 1 << freedom, cap, MASSEY_CAP)
     outer = [slot for slot in slots if slot[1] - slot[0] == n - 1]
     inner = [slot for slot in slots if slot[1] - slot[0] < n - 1]
-    # every sum of each inner slot's cocycles, built once
-    offsets = [_all_sums(spans[slot]) for slot in inner]
 
     boundaries = EchelonBasis(lowest=True)
     d = ds.expected_degree(1, n + 1) + 1
     if 1 <= d <= alg.top:
         boundaries.extend(alg.diffs[d - 1].transpose().rows)
+    entries = ds.entries
+    first, last = entries[(1, 2)], entries[(n, n + 1)]
     # the outer entries' cocycles shift every corner by this subspace
     shift = EchelonBasis()
     if outer:
-        first, last = ds.entry(1, 2), ds.entry(n, n + 1)
         right, left = ds.expected_degree(2, n + 1), ds.expected_degree(1, n)
         shift.extend(
             boundaries.reduce(alg.product(first, GradedElement(right, z)).bits)
@@ -546,25 +562,71 @@ def massey_product_set(
             boundaries.reduce(alg.product(GradedElement(left, z), last).bits)
             for z in spans[(1, n)]
         )
+
+    # sums[(i, j)]: the terms entry(i, t) * entry(t, j) of a relation whose
+    # two factors are set; a term is added when its later factor is set, and
+    # the corner's two terms with an outer factor are added per system
+    corner = (1, n + 1)
+    sums = dict.fromkeys([*slots, corner], 0)
+    for i in range(1, n):
+        sums[(i, i + 2)] = ds.relation(i, i + 2)
+    walked = {slot: pos for pos, slot in enumerate(inner)}
+
+    def set_before(slot: tuple[int, int], pos: int) -> bool:
+        return slot[1] - slot[0] == 1 or walked.get(slot, len(inner)) < pos
+
+    # per inner slot, the (relation, other factor, slot on the left) of each
+    # term it completes
+    terms = [
+        [((i, k), (j, k), True) for k in range(j + 1, n + 2) if set_before((j, k), pos)]
+        + [((h, j), (h, i), False) for h in range(1, i) if set_before((h, i), pos)]
+        for pos, (i, j) in enumerate(inner)
+    ]
+
+    def times(x: GradedElement, other: tuple[int, int], left: bool) -> int:
+        y = entries[other]
+        return (alg.product(x, y) if left else alg.product(y, x)).bits
+
     corners: set[int] = set()
 
     def fill(pos: int) -> None:
         if pos == len(inner):
             for i, j in outer:
                 d = ds.expected_degree(i, j)
-                pre = alg.coboundary_preimage(GradedElement(d + 1, ds.relation(i, j)))
+                pre = alg.coboundary_preimage(GradedElement(d + 1, sums[(i, j)]))
                 if pre is None:
                     return
-                ds.entries[(i, j)] = pre
-            corners.add(boundaries.reduce(ds.relation(1, n + 1)))
+                entries[(i, j)] = pre
+            corner_bits = sums[corner]
+            if outer:
+                corner_bits ^= alg.product(first, entries[(2, n + 1)]).bits
+                corner_bits ^= alg.product(entries[(1, n)], last).bits
+            corners.add(boundaries.reduce(corner_bits))
             return
-        i, j = inner[pos]
-        d = ds.expected_degree(i, j)
-        base = alg.coboundary_preimage(GradedElement(d + 1, ds.relation(i, j)))
-        if base is not None:
-            for offset in offsets[pos]:
-                ds.entries[(i, j)] = GradedElement(d, base.bits ^ offset)
-                fill(pos + 1)
+        slot = inner[pos]
+        d = ds.expected_degree(*slot)
+        base = alg.coboundary_preimage(GradedElement(d + 1, sums[slot]))
+        if base is None:
+            return
+        # the span in Gray-code order: each step adds one cocycle z, which
+        # moves each completed term by its stored product with z
+        span = spans[slot]
+        saved = [sums[target] for target, _, _ in terms[pos]]
+        steps = []
+        for target, other, left in terms[pos]:
+            sums[target] ^= times(base, other, left)
+            steps.append((target, [times(GradedElement(d, z), other, left) for z in span]))
+        x = base.bits
+        for step in range(1 << len(span)):
+            if step:
+                k = (step & -step).bit_length() - 1
+                x ^= span[k]
+                for target, moves in steps:
+                    sums[target] ^= moves[k]
+            entries[slot] = GradedElement(d, x)
+            fill(pos + 1)
+        for (target, _, _), value in zip(terms[pos], saved):
+            sums[target] = value
 
     fill(0)
     shifts = _all_sums(shift.rows.values())
@@ -587,7 +649,9 @@ def strong_massey_check(
 
     Tuples are built left to right: each next element is drawn from the
     kernel of multiplication by its predecessor, so every sampled tuple
-    admits the trivial defining system by construction.
+    admits the trivial defining system by construction.  Each kernel basis
+    is computed once per (degree, element, degree) and kept, in the same
+    order, so a seed draws the same tuples.
 
     With a zero differential only the trivial defining system is evaluated,
     whose every term is a vanishing neighbouring product or has a zero
@@ -601,6 +665,9 @@ def strong_massey_check(
         raise ValueError("no classes to sample in degrees 1 or 2")
     checked = 0
     failures: list[tuple[tuple[int, int], ...]] = []
+    # (degree, bits, degree d) -> basis of the degree-d kernel of left
+    # multiplication by that element
+    kernels: dict[tuple[int, int, int], list[int]] = {}
     for _ in range(samples):
         n = rng.randint(2, max_n)
         elts: list[GradedElement] = []
@@ -609,11 +676,14 @@ def strong_massey_check(
         for _ in range(n - 1):
             d = rng.choice(degrees_avail)
             prev = elts[-1]
-            cols = [
-                alg.product(prev, GradedElement(d, 1 << j)).bits
-                for j in range(alg.dim(d))
-            ]
-            kernel = _columns_matrix(cols, alg.dim(prev.degree + d)).kernel_basis()
+            kernel = kernels.get((prev.degree, prev.bits, d))
+            if kernel is None:
+                cols = [
+                    alg.product(prev, GradedElement(d, 1 << j)).bits
+                    for j in range(alg.dim(d))
+                ]
+                kernel = _columns_matrix(cols, alg.dim(prev.degree + d)).kernel_basis()
+                kernels[(prev.degree, prev.bits, d)] = kernel
             bits = 0
             for v in kernel:
                 if rng.getrandbits(1):

@@ -225,6 +225,21 @@ def test_kadeishvili(capsys):
     assert code == 2 and "starts at k = 3" in err
 
 
+def test_kadeishvili_exits_1_on_a_nonzero_obstruction(capsys, monkeypatch):
+    # one rank too low at (4, -2) leaves a class in that obstruction bidegree;
+    # the bidegree it also feeds, (5, -2), is not an obstruction bidegree
+    real = HochschildComplex.rank
+
+    def rank(self, k, s):
+        return real(self, k, s) - ((k, s) == (4, -2))
+
+    monkeypatch.setattr(HochschildComplex, "rank", rank)
+    code, rep = run_json(capsys, "kadeishvili", "--v-dim", "1", "--atoms", "2")
+    assert code == 1 and rep["passed"] is False
+    assert rep["manifest"]["summary"] == "obstruction space at (k, s) = (4, -2) has dimension 1"
+    assert [(r["k"], r["hh"]) for r in rep["results"]] == [(3, 0), (4, 1), (5, 0), (6, 0)]
+
+
 def test_koszul_verify(capsys):
     code, rep = run_json(
         capsys, "koszul-verify", "--v-dim", "1", "--atoms", "2", "--max-internal-degree", "5"

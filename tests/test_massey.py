@@ -15,6 +15,7 @@ from koszulhh.massey import (
     DefiningSystem,
     DgAlgebra,
     DgMap,
+    StrongMasseyReport,
     dg_algebra_from_dict,
     dg_algebra_to_dict,
     extend_with_acyclic_pairs,
@@ -343,6 +344,26 @@ def test_massey_product_set_matches_the_brute_force_reference():
     assert shifted >= 50
 
 
+def test_massey_product_set_matches_the_reference_on_longer_tuples():
+    # five and six classes: inner entries that later inner entries multiply,
+    # so each walk must leave the relation sums as it found them
+    rng = random.Random(20261020)
+    compared = 0
+    while compared < 120:
+        top = rng.randint(3, 6)
+        base = zero_diff_algebra(rng.randint(0, 2), rng.randint(1, 3), top)
+        pairs = [rng.randint(1, top - 1) for _ in range(rng.randint(0, 3))]
+        alg = extend_with_acyclic_pairs(base, pairs)[0] if pairs else base
+        degrees = [rng.randint(0, 2) for _ in range(rng.randint(5, 6))]
+        classes = [CohomologyClass(alg, alg.random_cocycle(d, rng)) for d in degrees]
+        try:
+            expected = reference_product_set(alg, classes, cap=1 << 10)
+        except CapExceeded:
+            continue
+        assert massey_product_set(alg, classes) == expected, (alg.dims, pairs, classes)
+        compared += 1
+
+
 def test_strong_massey_check():
     H = zero_diff_algebra(2, 3, 8)
     report = strong_massey_check(H, samples=50, max_n=4, seed=1)
@@ -352,6 +373,43 @@ def test_strong_massey_check():
     base, ext, proj = fibration(1, 2, 5, [2, 3])
     with pytest.raises(ValueError):
         strong_massey_check(ext, samples=1)
+
+
+def unmemoised_strong_check(alg, samples, max_n, seed):
+    """strong_massey_check as it was before the kernel memo: the kernel of
+    left multiplication is recomputed for every drawn element."""
+    rng = random.Random(seed)
+    degrees_avail = [d for d in (1, 2) if alg.dim(d) > 0]
+    checked = 0
+    failures = []
+    for _ in range(samples):
+        n = rng.randint(2, max_n)
+        elts = [alg.random_element(rng.choice(degrees_avail), rng)]
+        for _ in range(n - 1):
+            d = rng.choice(degrees_avail)
+            prev = elts[-1]
+            cols = [alg.product(prev, GradedElement(d, 1 << j)).bits for j in range(alg.dim(d))]
+            kernel = BitMatrix(cols, alg.dim(prev.degree + d)).transpose().kernel_basis()
+            bits = 0
+            for v in kernel:
+                if rng.getrandbits(1):
+                    bits ^= v
+            elts.append(GradedElement(d, bits))
+        classes = [CohomologyClass(alg, e) for e in elts]
+        result = massey_product(trivial_defining_system(alg, classes))
+        checked += 1
+        if not result.is_zero_class():
+            failures.append(tuple((e.degree, e.bits) for e in elts))
+    return StrongMasseyReport(samples, max_n, checked, not failures, tuple(failures))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (0, 3)])
+def test_strong_massey_check_draws_as_without_the_kernel_memo(m, n):
+    H = zero_diff_algebra(m, n, 8)
+    for seed in (0, 5, 2026):
+        for max_n in (2, 5):
+            expected = unmemoised_strong_check(H, 150, max_n, seed)
+            assert strong_massey_check(H, 150, max_n, seed) == expected
 
 
 def test_lift_cocycle():
