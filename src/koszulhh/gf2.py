@@ -10,7 +10,9 @@ the bar-complex oracle, whose filtration needs the rank of every column
 suffix, and the Koszul span oracle.  Lowest-bit pivots serve ``BitMatrix``
 and the Massey code: they fix the kernel bases (ordered by free column), the
 solutions with free variables zero and the canonical representatives of
-Massey product classes.  A matrix with at most two entries per row, the
+Massey product classes.  A ``BitMatrix`` is eliminated once, as the
+reduced echelon form of ``[m | I]``, and its rank, kernel basis and every
+solve read that one form.  A matrix with at most two entries per row, the
 Koszul cochain differentials and strand matrices, is stored as one pair of
 index arrays ``first``, ``second`` (-1 for an absent entry, ``index_code``
 for the type) and gets its rank and kernel from one union-find instead
@@ -68,7 +70,7 @@ class BitMatrix:
     right null space.
     """
 
-    __slots__ = ("rows", "cols", "_rref", "_combos")
+    __slots__ = ("rows", "cols", "_rref")
 
     def __init__(self, rows: Iterable[int], cols: int):
         self.rows = tuple(rows)
@@ -77,7 +79,6 @@ class BitMatrix:
             if r < 0 or r >> cols:
                 raise ValueError("row does not fit the stated column count")
         self._rref = None
-        self._combos = None
 
     @classmethod
     def from01(cls, rows: Iterable[str]) -> "BitMatrix":
@@ -142,19 +143,25 @@ class BitMatrix:
     # -- elimination ----------------------------------------------------
 
     def _reduced(self) -> dict[int, int]:
-        """Reduced row echelon basis: pivot column -> fully reduced row."""
+        """The one elimination: pivot -> row of the reduced echelon form of
+        ``[m | I]``, lowest-bit pivots.  Row i carries tag bit ``cols + i``,
+        above every column, so the rows pivoting below ``cols`` are the
+        reduced echelon form of ``m`` with tags saying which rows of ``m`` add
+        up to them, and a tag pivot marks rows that add up to zero."""
         if self._rref is None:
+            cols = self.cols
             basis = EchelonBasis(lowest=True)
-            basis.extend(self.rows)
+            basis.extend(r | 1 << (cols + i) for i, r in enumerate(self.rows))
             basis.back_substitute()
             self._rref = basis.rows
         return self._rref
 
     def rank(self) -> int:
-        return len(self._reduced())
+        return sum(p < self.cols for p in self._reduced())
 
     def kernel_basis(self) -> list[int]:
         """Basis of ``{x : m @ x = 0}``, ordered by free column index."""
+        # a row with a tag pivot is zero below cols, so it adds nothing here
         basis = self._reduced()
         pivots = set(basis)
         out = []
@@ -168,32 +175,18 @@ class BitMatrix:
             out.append(v)
         return out
 
-    def _row_combinations(self) -> list[tuple[int, int]]:
-        """(pivot, rows summed) for the reduced echelon form of ``[m | I]``.
-
-        Row i carries tag bit ``cols + i``, above every column, so the column
-        pivots are those of ``m``.  A pivot below ``cols`` says which rows of
-        ``m`` add up to its reduced row; a pivot among the tags marks a set of
-        rows that adds up to zero.
-        """
-        if self._combos is None:
-            cols = self.cols
-            basis = EchelonBasis(lowest=True)
-            basis.extend(r | 1 << (cols + i) for i, r in enumerate(self.rows))
-            basis.back_substitute()
-            self._combos = [(p, r >> cols) for p, r in basis.rows.items()]
-        return self._combos
-
     def solve(self, b: int) -> int | None:
         """One solution of ``m @ x = b`` (free variables zero), or None.
 
-        The elimination is done once per matrix; each call only reads the
-        parity of ``b`` on the recorded row combinations.
+        Each call only reads the parity of ``b`` on the row sets that the
+        tags of the reduced ``[m | I]`` record: ``b`` moved onto the tags.
         """
+        cols = self.cols
+        b <<= cols
         x = 0
-        for p, combo in self._row_combinations():
-            if (combo & b).bit_count() & 1:
-                if p >= self.cols:
+        for p, row in self._reduced().items():
+            if (row & b).bit_count() & 1:
+                if p >= cols:
                     return None
                 x |= 1 << p
         return x

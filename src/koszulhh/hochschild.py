@@ -46,6 +46,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress, count, product
 from math import prod
 from typing import Iterator
@@ -198,16 +199,19 @@ class HochschildComplex:
         self.alg = alg
         self.subring = subring
         self.cap = cap
-        if subring is not None:
-            self.blocks = subring.blocks
-        elif alg.ring is not None:
-            self.blocks = tuple(1 << i for i in range(alg.ring.atom_count))
-        else:
-            self.blocks = ()
         self.m = alg.v_dim
-        self.nj = len(self.blocks)
+        ring = subring if subring is not None else alg.ring
+        self.nj = ring.atom_count if ring is not None else 0
         self._rank_cache: dict = {}
         self._bar_cache: dict = {}
+
+    @cached_property
+    def blocks(self) -> tuple[int, ...]:
+        """The atom mask of each coefficient block, built on first use, since
+        N atoms make N masks of up to N bits."""
+        if self.subring is not None:
+            return self.subring.blocks
+        return tuple(1 << i for i in range(self.nj))
 
     # -- coefficient generators ------------------------------------------
 

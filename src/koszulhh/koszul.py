@@ -275,15 +275,16 @@ class KoszulReport:
 
 
 def _product_table(alg: ConnectedSumAlgebra, top: int) -> list[list[list[int]]]:
-    """mul[p][g][a]: the basis index of (basis element a of alg_p) * (generator g)
-    in alg_(p+1), or -1 when that product is zero, for p < top; each row
+    """mul[p][a][g]: the basis index of (basis element a of alg_p) * (generator g)
+    in alg_(p+1), or -1 when that product is zero, for p < top; each column
     inverts action(alg, generator g, p)."""
-    mul = [[[-1] * alg.graded_dim(p) for _ in range(alg.gen_count)] for p in range(top)]
+    gens = alg.gen_count
+    mul = [[[-1] * gens for _ in range(alg.graded_dim(p))] for p in range(top)]
     for p, rows in enumerate(mul):
-        for g, row in enumerate(rows):
+        for g in range(gens):
             for r, a in enumerate(action(alg, alg.generator(g), p)):
                 if a >= 0:
-                    row[a] = r
+                    rows[a][g] = r
     return mul
 
 
@@ -325,10 +326,7 @@ def _strand(dims: list[int], d: int, links: list[SequenceLinks], mul):
             q = d - i - p
             dim_q, dim_r = dims[q], dims[q + 1]
             up, here, stride = below.get(p + 1, 0), below.get(p, 0), len(heads) * dim_q
-            # moved[b][g]: the basis index of g * b in alg_(q+1), or -1
-            moved = [[row[b] for row in mul[q]] for b in range(dim_q)]
-            for a in range(dims[p]):
-                left = [row[a] for row in mul[p]]
+            for a, left in enumerate(mul[p]):
                 # per sequence u: the row that (a * u[0]) (x) u[1:] (x) b takes
                 # for b = 0 (-1: none), and where a (x) u[:-1] (x) alg_(q+1) starts
                 ups = [
@@ -336,7 +334,7 @@ def _strand(dims: list[int], d: int, links: list[SequenceLinks], mul):
                     for g, r in zip(heads, suffix)
                 ]
                 heres = [here + (a * width + l) * dim_r for l in prefix]
-                for b, right in enumerate(moved):
+                for b, right in enumerate(mul[q]):
                     rows = slice(start + b, start + stride, dim_q)
                     first[rows] = array(code, [c + b if c >= 0 else -1 for c in ups])
                     second[rows] = array(

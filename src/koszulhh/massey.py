@@ -13,7 +13,8 @@ entry's cocycle sums walked in Gray-code order, so that a step moves each
 relation term the entry completes by one stored product), the statistical
 check that products with vanishing neighbouring cups vanish, and the
 transfer of cocycles, coboundaries and whole defining systems backwards
-along a surjective quasi-isomorphism.
+along a surjective quasi-isomorphism, where each lift is one solve of the
+source differential stacked on the map.
 """
 
 from __future__ import annotations
@@ -704,12 +705,25 @@ def strong_massey_check(
     )
 
 
+def _lift(q: DgMap, d: int, boundary: int, image: int) -> int | None:
+    """Bits of some x in source degree d with diff(x) = boundary and
+    q(x) = image, or None, from one solve: the source differential's rows at
+    degree d stacked on q's.  An acyclic fibration maps cocycles onto
+    cocycles, and any (b, c) with q(b) = diff(c) has such an x."""
+    src = q.source
+    if not 0 <= d <= src.top:
+        return None if boundary or image else 0
+    diff_rows = src.diffs[d].rows if d < src.top else ()
+    if boundary >> len(diff_rows):
+        return None
+    stacked = BitMatrix(diff_rows + q.mats[d].rows, src.dim(d))
+    return stacked.solve(boundary | image << len(diff_rows))
+
+
 def lift_cocycle(q: DgMap, target_cocycle: GradedElement) -> GradedElement:
     """A source cocycle mapping onto a target cocycle under ``q``.
 
-    Solves for a cocycle combination together with a correction coboundary
-    in the target, then pulls the correction back through the surjection.
-    Any failed solve means the map is not a surjective quasi-isomorphism.
+    A failed solve means the map is not a surjective quasi-isomorphism.
     """
     src, tgt = q.source, q.target
     d = target_cocycle.degree
@@ -717,25 +731,10 @@ def lift_cocycle(q: DgMap, target_cocycle: GradedElement) -> GradedElement:
         raise NotACocycleError(
             f"target element in degree {d} is not closed", witness=target_cocycle
         )
-    zbasis = src.cocycle_basis(d)
-    cols = [q.mats[d].mul_vec(z) for z in zbasis]
-    n_corr = tgt.dim(d - 1) if 1 <= d <= tgt.top else 0
-    if n_corr:
-        cols.extend(tgt.diffs[d - 1].transpose().rows)
-    sol = _columns_matrix(cols, tgt.dim(d)).solve(target_cocycle.bits)
-    if sol is None:
+    x = _lift(q, d, 0, target_cocycle.bits)
+    if x is None:
         raise ValueError("cocycle does not lift; the map is not an acyclic fibration")
-    a_bits = 0
-    for idx in range(len(zbasis)):
-        if (sol >> idx) & 1:
-            a_bits ^= zbasis[idx]
-    corr = sol >> len(zbasis)
-    if corr:
-        pre = q.mats[d - 1].solve(corr)
-        if pre is None:
-            raise ValueError("correction does not lift; the map is not surjective")
-        a_bits ^= src.diffs[d - 1].mul_vec(pre)
-    lifted = GradedElement(d, a_bits)
+    lifted = GradedElement(d, x)
     if not src.is_cocycle(lifted) or q.apply(lifted).bits != target_cocycle.bits:
         raise AssertionError("lifted cocycle failed verification")
     return lifted
@@ -754,16 +753,16 @@ def lift_coboundary(
         raise NotACocycleError(
             "prescribed boundary value is not closed", witness=source_boundary
         )
-    if tgt.diff(target_primitive).bits != q.apply(source_boundary).bits:
+    d = target_primitive.degree
+    if (
+        source_boundary.degree != d + 1
+        or tgt.diff(target_primitive).bits != q.apply(source_boundary).bits
+    ):
         raise ValueError("target primitive does not bound the image")
-    first = src.coboundary_preimage(source_boundary)
-    if first is None:
-        raise ValueError(
-            "boundary value is not exact; the map is not a quasi-isomorphism"
-        )
-    residue = target_primitive ^ q.apply(first)
-    correction = lift_cocycle(q, residue)
-    out = first ^ correction
+    x = _lift(q, d, source_boundary.bits, target_primitive.bits)
+    if x is None:
+        raise ValueError("primitive does not lift; the map is not an acyclic fibration")
+    out = GradedElement(d, x)
     if src.diff(out).bits != source_boundary.bits or q.apply(out).bits != target_primitive.bits:
         raise AssertionError("lifted primitive failed verification")
     return out
@@ -776,7 +775,9 @@ def lift_defining_system(
 
     ``classes`` are source classes whose images are the classes of the
     adjacent entries of ``ds``.  The lift agrees with ``ds`` entrywise
-    under ``q`` and is itself a valid defining system.
+    under ``q`` and is itself a valid defining system.  An adjacent entry
+    lifts as a cocycle, which lies in its source class because ``q`` is
+    injective on cohomology.
     """
     src, tgt = q.source, q.target
     if ds.algebra is not tgt:
@@ -789,14 +790,13 @@ def lift_defining_system(
         r = classes[i - 1].element
         if r.degree != ds.degrees[i - 1]:
             raise ValueError(f"source class {i} has the wrong degree")
-        gap = ds.entry(i, i + 1) ^ q.apply(r)
-        w = tgt.coboundary_preimage(gap)
-        if w is None:
+        entry = ds.entry(i, i + 1)
+        if not tgt.is_coboundary(entry ^ q.apply(r)):
             raise ValueError(f"source class {i} does not map to the class of entry {i}")
-        pre = q.mats[w.degree].solve(w.bits)
-        if pre is None:
-            raise ValueError("primitive does not lift; the map is not surjective")
-        lifted.entries[(i, i + 1)] = r ^ src.diff(GradedElement(w.degree, pre))
+        x = lift_cocycle(q, entry)
+        if not src.is_coboundary(x ^ r):
+            raise AssertionError(f"lifted entry {i} left its source class")
+        lifted.entries[(i, i + 1)] = x
     for i, j in lifted.slots():
         if j - i == 1:
             continue

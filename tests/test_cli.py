@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -301,15 +302,30 @@ def test_bar_oracle(capsys):
     assert all(0 < b["widestBlock"] < b["columns"] for b in shapes)
 
 
-def run_child(argv, timeout):
-    """The command line in a fresh interpreter, killed after timeout seconds."""
+def run_child(argv, timeout, address_space_mb=None):
+    """The command line in a fresh interpreter, killed after timeout seconds;
+    with address_space_mb, under that RLIMIT_AS."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(koszulhh.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+
+    def limit():
+        size = address_space_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (size, size))
+
     return subprocess.run(
         [sys.executable, "-m", "koszulhh.cli", *argv],
         capture_output=True, text=True, env=env, timeout=timeout,
+        preexec_fn=limit if address_space_mb else None,
     )
+
+
+def test_hh_grid_checks_its_caps_before_any_atom_mask():
+    # 100,000 atoms would make 100,000 masks of up to 100,000 bits, over
+    # 600 MiB; the sequence cap of the window fires before any of them exists
+    proc = run_child(["hh-grid", "--atoms", "100000", "--k-max", "1"], timeout=10, address_space_mb=400)
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "cap exceeded: admissible sequence enumeration\n"
 
 
 def test_bar_oracle_past_the_last_degree_with_cochains_does_no_work():

@@ -205,6 +205,24 @@ def test_solve_random_consistency():
         assert x is not None and m.mul_vec(x) == target
 
 
+def test_rank_kernel_and_solves_share_one_elimination(monkeypatch):
+    calls = []
+    back_substitute = EchelonBasis.back_substitute
+
+    def counted(self):
+        calls.append(self)
+        back_substitute(self)
+
+    monkeypatch.setattr(EchelonBasis, "back_substitute", counted)
+    m = BitMatrix.from01(["1100", "0110", "1010", "0001"])
+    assert m.rank() == 3
+    assert [to01(v, 4) for v in m.kernel_basis()] == ["1110"]
+    assert m.solve(from01("1010")) == from01("1000")
+    assert m.solve(from01("0110")) == from01("1100")
+    assert m.solve(from01("1000")) is None
+    assert len(calls) == 1
+
+
 def test_echelon_rank_matches_dense_rank():
     rng = random.Random(2)
     for _ in range(60):

@@ -279,14 +279,14 @@ def row_by_row_strand(alg, d, links, mul):
             absent = array(code, [-1]) * dim_q
             for a in range(dim(p)):
                 for g0, g1, r, l in zip(*links[i]):
-                    a2 = mul[p][g0][a]
+                    a2 = mul[p][a][g0]
                     if a2 < 0:
                         first.extend(absent)
                     else:
                         base = below[p + 1] + (a2 * width + r) * dim_q
                         first.extend(range(base, base + dim_q))
                     base = below.get(p, 0) + (a * width + l) * dim(q + 1)
-                    second.extend([base + b2 if b2 >= 0 else -1 for b2 in mul[q][g1]])
+                    second.extend([base + b2 if (b2 := row[g1]) >= 0 else -1 for row in mul[q]])
         return first, second
 
     return sizes, map(differential, range(1, d + 1))

@@ -482,6 +482,26 @@ def test_lift_defining_system_input_checks():
         lift_defining_system(proj, classes[:1], ds)
 
 
+def test_lifts_along_a_map_that_is_not_surjective_fail():
+    # the zero map cannot reach the nonzero cocycle in degree 1
+    base = zero_diff_algebra(0, 2, 3)
+    zero = DgMap(base, base, tuple(BitMatrix.zeros(n, n) for n in base.dims))
+    with pytest.raises(ValueError, match="does not lift"):
+        lift_cocycle(zero, base.element(1, 1))
+    with pytest.raises(ValueError, match="does not lift"):
+        lift_coboundary(zero, base.zero(2), base.element(1, 1))
+
+
+def test_lift_defining_system_rejects_a_source_class_of_another_class():
+    H = zero_diff_algebra(0, 3, 4)
+    ext, proj = extend_with_acyclic_pairs(H, [1, 2])
+    target_classes = [atom_class(H, 0, i) for i in (0, 1, 2)]
+    ds = trivial_defining_system(H, target_classes)
+    up = [CohomologyClass(ext, lift_cocycle(proj, c.element)) for c in target_classes]
+    with pytest.raises(ValueError, match="source class 2 does not map to the class of entry 2"):
+        lift_defining_system(proj, [up[0], up[0], up[2]], ds)
+
+
 def test_dict_round_trip():
     base, ext, proj = fibration(1, 2, 5, [2, 3])
     data = dg_algebra_to_dict(ext)

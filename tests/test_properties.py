@@ -1,4 +1,5 @@
-"""Hypothesis properties of the Koszul cochain complexes and the dg wire format.
+"""Hypothesis properties of the Koszul cochain complexes, the dg wire format
+and lifting along acyclic fibrations.
 
 Each property runs over random (v_dim, atoms, subring blocks, k, s); the
 example budgets are small so that the whole file takes a few seconds.
@@ -14,10 +15,16 @@ from koszulhh.coboundary import extend_cocycle_split, restrict_cochain, solve_co
 from koszulhh.gf2 import BitMatrix
 from koszulhh.hochschild import HochschildComplex
 from koszulhh.massey import (
+    CohomologyClass,
     dg_algebra_from_dict,
     dg_algebra_to_dict,
     extend_with_acyclic_pairs,
     from_connected_sum,
+    lift_coboundary,
+    lift_cocycle,
+    lift_defining_system,
+    massey_product,
+    trivial_defining_system,
 )
 
 PROPERTY = settings(max_examples=50, deadline=None)
@@ -105,3 +112,40 @@ def test_dg_json_round_trip(m, n, top, pair_degrees):
     assert dg_algebra_to_dict(back) == data
     assert back.dims == dg.dims and back.mult == dg.mult and back.unit == dg.unit
     assert all(isinstance(a, BitMatrix) and a == b for a, b in zip(back.diffs, dg.diffs))
+
+
+@PROPERTY
+@given(
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.integers(2, 5),
+    st.lists(st.integers(1, 4), max_size=3),
+    st.data(),
+)
+def test_lifts_along_random_acyclic_fibrations(m, n, top, pair_degrees, data):
+    base = from_connected_sum(ConnectedSumAlgebra(m, BooleanRing(n) if n else None), top)
+    src, q = extend_with_acyclic_pairs(base, [d for d in pair_degrees if d < top])
+    rng = data.draw(SEEDS)
+    for d in range(top + 1):
+        z = base.random_cocycle(d, rng)
+        x = lift_cocycle(q, z)
+        assert src.is_cocycle(x) and q.apply(x).bits == z.bits
+        # base has zero differential, so q(b) = 0 = diff(c)
+        b = src.diff(src.random_element(d, rng))
+        c = base.random_element(d, rng)
+        e = lift_coboundary(q, b, c)
+        assert src.diff(e).bits == b.bits and q.apply(e).bits == c.bits
+    # distinct neighbouring degree-1 basis classes multiply to zero
+    ones = base.dim(1)
+    if ones < 2:
+        return
+    picks = [data.draw(st.integers(0, ones - 1))]
+    for _ in range(data.draw(st.integers(1, 2))):
+        picks.append((picks[-1] + data.draw(st.integers(1, ones - 1))) % ones)
+    classes = [CohomologyClass(base, base.element(1, 1 << i)) for i in picks]
+    ds = trivial_defining_system(base, classes)
+    up = [CohomologyClass(src, lift_cocycle(q, c.element)) for c in classes]
+    lifted = lift_defining_system(q, up, ds)
+    assert all(q.apply(lifted.entry(*slot)).bits == ds.entry(*slot).bits for slot in ds.slots())
+    down = CohomologyClass(base, q.apply(massey_product(lifted).element))
+    assert down.same_class(massey_product(ds))
