@@ -252,6 +252,13 @@ def cmd_bar_oracle(args) -> tuple[dict, int]:
     )
     if rep.skipped_from is not None:
         summary += f"; degrees from {rep.skipped_from} skipped by the cap"
+    # without atoms the bar complex ends at a last degree (not None), and a
+    # truncation that reaches it gives the bigraded group exactly
+    last = hc.bar_complex(args.s).last_degree(args.k)
+    exact = last is not None and args.max_internal_degree >= last and rep.skipped_from is None
+    failed = exact and koszul_side is not None and koszul_side != rep.total
+    if failed:
+        summary = f"bar total {rep.total} at full depth differs from the graded model's {koszul_side}"
     manifest = _manifest(args, summary)
     manifest["barBlocks"] = [
         {
@@ -271,7 +278,7 @@ def cmd_bar_oracle(args) -> tuple[dict, int]:
         "skippedFrom": rep.skipped_from,
         "koszulHh": koszul_side,
     }
-    return report, 0
+    return report, 1 if failed else 0
 
 
 def cmd_solve_coboundary(args) -> tuple[dict, int]:
@@ -304,7 +311,8 @@ def cmd_extend_cocycle(args) -> tuple[dict, int]:
     f = _input_cochain(args, hc, k, s)
     if args.mode == "branch" and args.random:
         # project to multiples of x; masking the payload preserves cocycles
-        f = Cochain(k, s, tuple(((v >> alg.v_dim) & x) << alg.v_dim for v in f.values))
+        keep = alg.from_parts(1, 0, x).bits
+        f = Cochain(k, s, tuple(v & keep for v in f.values))
     # both extensions return only a cocycle whose restriction they checked
     extend = extend_cocycle if args.mode == "branch" else extend_cocycle_split
     hc2, f2 = extend(hc, x, f)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Subring
+from .algebra import GradedElement, Subring
 from .errors import NotACocycleError
 from .hochschild import Cochain, HochschildComplex
 from .koszul import child_positions, count_admissible
@@ -88,13 +88,10 @@ class HeadTail:
 
 def _boolean_value(hc: HochschildComplex, f: Cochain, pos: int) -> int:
     """Atom mask of a value; rejects degree-1 values with a free part."""
-    j = f.k + f.s
-    bits = f.values[pos]
-    if j == 1:
-        if bits & ((1 << hc.alg.v_dim) - 1):
-            raise NotACocycleError("value has a component outside the Boolean part", (pos, bits))
-        return bits >> hc.alg.v_dim
-    return bits
+    value = GradedElement(f.k + f.s, f.values[pos])
+    if hc.alg.v_part(value):
+        raise NotACocycleError("value has a component outside the Boolean part", (pos, value.bits))
+    return hc.alg.atom_part(value)
 
 
 def head_tail(hc: HochschildComplex, f: Cochain, orbit: Orbit) -> HeadTail:
@@ -192,11 +189,11 @@ def extend_cocycle(
     """
     if f.k + f.s != 1:
         raise ValueError("extension operates on values in module degree 1")
-    v_dim = hc.alg.v_dim
     for bits in f.values:
-        if bits & ((1 << v_dim) - 1):
+        value = GradedElement(1, bits)
+        if hc.alg.v_part(value):
             raise ValueError("free part present; strip it first")
-        if (bits >> v_dim) & ~x:
+        if hc.alg.atom_part(value) & ~x:
             raise ValueError("values not multiples of the adjoined element")
     return extend_cocycle_split(hc, x, f)
 
@@ -209,7 +206,7 @@ def _transport(hc: HochschildComplex, hc2: HochschildComplex, x: int, f: Cochain
     sequence of hc2 reads its image's value masked by its sides: all of it
     (0), the near part (1), the rest (2) or nothing (3).
     """
-    near = (x << hc.alg.v_dim) | ((1 << hc.alg.v_dim) - 1)
+    near = hc.alg.from_parts(1, (1 << hc.m) - 1, x).bits
     masks = (-1, near, ~near, 0)
     images, sides = _coarse_images(hc2, hc, f.k, x)
     vals = tuple(f.values[c] & masks[t] if c >= 0 else 0 for c, t in zip(images, sides))

@@ -161,19 +161,17 @@ class BitMatrix:
 
     def kernel_basis(self) -> list[int]:
         """Basis of ``{x : m @ x = 0}``, ordered by free column index."""
-        # a row with a tag pivot is zero below cols, so it adds nothing here
+        # below cols a pivot row holds its pivot and free columns only, and a
+        # row with a tag pivot is zero there, so it adds nothing
         basis = self._reduced()
-        pivots = set(basis)
-        out = []
-        for f in range(self.cols):
-            if f in pivots:
-                continue
-            v = 1 << f
-            for p, row in basis.items():
-                if (row >> f) & 1:
-                    v |= 1 << p
-            out.append(v)
-        return out
+        out = {f: 1 << f for f in range(self.cols) if f not in basis}
+        below = (1 << self.cols) - 1
+        for p, row in basis.items():
+            free = row & below & ~(1 << p)
+            while free:
+                out[_lsb_index(free)] |= 1 << p
+                free &= free - 1
+        return list(out.values())
 
     def solve(self, b: int) -> int | None:
         """One solution of ``m @ x = b`` (free variables zero), or None.

@@ -23,7 +23,8 @@ A reduced bar-complex oracle recomputes the same cohomology independently,
 internal degree by internal degree, as a cross-check on the Koszul route.
 Bar words are numbered, not stored: by degree composition, then in mixed
 radix over their factor indices, so a word's truncations and merges are
-arithmetic on its number.  The coboundary preserves a multidegree weight,
+arithmetic on its number, and one walk over the words of an output degree
+packs its rows.  The coboundary preserves a multidegree weight,
 so every truncated matrix splits into a few hundred weight blocks.
 Permuting the v's, or coefficient blocks of equal atom count, maps blocks
 onto blocks of equal rank and filtration, so only one representative block
@@ -37,7 +38,9 @@ nonzero cohomology get one more pass over the same rows, counted once per
 block of their orbit: the highest-bit pivots of the k-th coboundary
 give the rank of every column suffix, and the rank after each output degree
 of the (k-1)-th gives every row prefix.  Past the last argument degree that
-has cochains every piece is zero and costs nothing.
+has cochains every piece is zero and costs nothing.  Without atoms there is
+such a last degree, so a truncation through it gives the bigraded group
+exactly, and the command line fails a mismatch with the Koszul route there.
 """
 
 from __future__ import annotations
@@ -380,6 +383,13 @@ class HochschildComplex:
 
     # -- bar-complex oracle --------------------------------------------------
 
+    def bar_complex(self, s: int) -> "_BarComplex":
+        """The reduced bar complex of shift s, built once per complex."""
+        bar = self._bar_cache.get(s)
+        if bar is None:
+            bar = self._bar_cache[s] = _BarComplex(self, s)
+        return bar
+
     def bar_oracle(self, k: int, s: int, max_internal_degree: int, cap: int | None = None) -> BarReport:
         """Per-degree cohomology factors of the reduced bar cochain complex.
 
@@ -397,10 +407,7 @@ class HochschildComplex:
         if max_internal_degree < 0:
             raise ValueError("negative internal degree")
         cap = DEFAULT_BAR_CAP if cap is None else cap
-        bar = self._bar_cache.get(s)
-        if bar is None:
-            bar = _BarComplex(self, s)
-            self._bar_cache[s] = bar
+        bar = self.bar_complex(s)
         # past the last degree with cochains nothing changes: the workload
         # stays put and every piece is zero
         last = bar.last_degree(k)
@@ -587,44 +594,6 @@ class _BarComplex:
             return self.hc.generator_element(i)
         return self.hc.alg.element(d, self.hc.blocks[i])
 
-    def _links(self, q: int, e: int, select) -> Iterator[tuple]:
-        """(w[0], pos(w[1:]), w[-1], pos(w[:-1]), positions of the nonzero
-        merges, pick) for each (q+1)-factor word w of degree e, in word order.
-
-        A factor is (degree, index); a position numbers the q-factor words
-        of its degree.  Adjacent factors merge only within one block b (a v
-        kills everything, distinct blocks are orthogonal).  On the number v
-        of w in its run, w[1:] and w[:-1] drop the first and last digit, and
-        a merge at i puts digit b (radix nj) in place of digits i, i+1.
-
-        select maps a degree composition to one pick per word of its run; a
-        word with an empty pick is passed over before its merges are read.
-        """
-        m, nj = self.hc.m, self.hc.nj
-        merged_shapes = self._shapes(q, e)
-        for comp, (_, radices) in self._shapes(q + 1, e).items():
-            picks = select(comp)
-            if not any(picks):
-                continue
-            head = self._shapes(q, e - comp[0])[comp[1:]][0]
-            tail = self._shapes(q, e - comp[-1])[comp[:-1]][0]
-            head_mod, tail_div = prod(radices[1:]), radices[-1]
-            merges = []  # (i, start of the merged run, block offsets of digits i, i+1, lo, span)
-            for i in range(q if nj else 0):
-                lo = prod(radices[i + 2 :])
-                start = merged_shapes[comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]][0]
-                off1, off2 = (m if d == 1 else 0 for d in comp[i : i + 2])
-                merges.append((i, start, off1, off2, lo, radices[i] * radices[i + 1] * lo))
-            words = zip(count(), product(*map(range, radices)), picks)
-            for v, digits, pick in compress(words, picks):
-                joined = []
-                for i, start, off1, off2, lo, span in merges:
-                    b = digits[i] - off1
-                    if b >= 0 and b == digits[i + 1] - off2:
-                        joined.append(start + (v // span * nj + b) * lo + v % lo)
-                first, last = (comp[0], digits[0]), (comp[-1], digits[-1])
-                yield first, head + v % head_mod, last, tail + v // tail_div, joined, pick
-
     # -- weight blocks -------------------------------------------------------
 
     def _weight_code(self, x: GradedElement, radix: int) -> int:
@@ -716,59 +685,80 @@ class _BarComplex:
 
     def _rows(self, q: int, e: int, layout: _Layout) -> Iterator[tuple[int, int]]:
         """(block, row) for each nonzero row of the q-th coboundary of output
-        degree e that lies in a representative block.
+        degree e that lies in a representative block, in word order.
 
-        The row is packed on the local column indices of its weight block.
-        All its entries lie in the block of code mdeg(r) - mdeg(t) for word t
-        and output coordinate r.  Repeated entries cancel mod 2.
+        One walk over the (q+1)-factor words w of degree e, run by run of
+        their degree composition.  All entries of row (w, r) lie in the block
+        of code mdeg(r) - mdeg(w), so each word first picks its output
+        coordinates r whose block is a representative, and a word with none
+        is passed over before its merges are read.  On the number v of w in
+        its run, w[1:] and w[:-1] drop the first and last digit, whose
+        factors act on the values there (outer terms).  Adjacent factors
+        merge only within one block b (a v kills everything, distinct blocks
+        are orthogonal), and a merge at i puts digit b (radix nj) in place of
+        digits i, i+1 (inner terms, module coordinate unchanged).  The row is
+        packed on the local column indices of its weight block, and repeated
+        entries cancel mod 2.
         """
-        dim_out = self.hc.module_dim(e + self.s)
+        hc, m, nj = self.hc, self.hc.m, self.hc.nj
+        dim_out = hc.module_dim(e + self.s)
         if not dim_out or not self.tensor_count(q + 1, e):
             return
         local = layout.local
         reps = {layout.codes[b]: b for b, r in enumerate(layout.rep) if r == b}  # code -> block
         module = self._module_codes(e + self.s, layout.radix)
         picked: dict[int, list[tuple[int, int]]] = {}  # word code -> (r, block) of its rows
-
-        def select(comp: tuple) -> list:
+        # per factor degree d, per factor index: the input column of each
+        # output coordinate, the start of the input degree run it reads and
+        # that run's module dimension; None for a factor acting as zero
+        acting = {}
+        for d in range(1, e + 1):
+            j, off = e - d + self.s, self.cochain_dim(q, e - d - 1)
+            tables = (action(hc.alg, self._factor_element(d, i), j) for i in range(self.q_dim(d)))
+            acting[d] = [(cols, off, hc.module_dim(j)) if max(cols) >= 0 else None for cols in tables]
+        base_off = self.cochain_dim(q, e - 1)
+        merged = self._shapes(q, e)
+        for comp, (_, radices) in self._shapes(q + 1, e).items():
             codes = _word_codes(comp, layout.factor_codes)
             for w in set(codes).difference(picked):
                 picked[w] = [(r, reps[c - w]) for r, c in enumerate(module) if c - w in reps]
-            return list(map(picked.__getitem__, codes))
-
-        # per acting factor: the input column of each output coordinate (-1:
-        # none), and the input degree run it reads
-        acting = {}
-        for d in range(1, e + 1):
-            dim_in = self.hc.module_dim(e - d + self.s)
-            if not dim_in:
+            picks = list(map(picked.__getitem__, codes))
+            if not any(picks):
                 continue
-            for i in range(self.q_dim(d)):
-                cols = action(self.hc.alg, self._factor_element(d, i), e - d + self.s)
-                if max(cols) >= 0:
-                    acting[(d, i)] = (cols, self.cochain_dim(q, e - d - 1), dim_in)
-        base_off = self.cochain_dim(q, e - 1)
-        for first, head, last, tail, joined, pick in self._links(q, e, select):
-            # outer terms: first factor acts on the right-truncated input,
-            # last factor on the left-truncated input
-            outer = []
-            for f, pos in ((first, head), (last, tail)):
-                act = acting.get(f)
-                if act is not None:
-                    cols, off, dim_in = act
-                    outer.append((cols, off + pos * dim_in))
-            # inner terms: merge adjacent factors, module coordinate unchanged
-            inner = [base_off + pos * dim_out for pos in joined]
-            for r, b in pick:
-                packed = 0
-                for cols, base in outer:
-                    c = cols[r]
-                    if c >= 0:
-                        packed ^= 1 << local[base + c]
-                for base in inner:
-                    packed ^= 1 << local[base + r]
-                if packed:
-                    yield b, packed
+            firsts, lasts = acting[comp[0]], acting[comp[-1]]
+            head = self._shapes(q, e - comp[0])[comp[1:]][0]
+            tail = self._shapes(q, e - comp[-1])[comp[:-1]][0]
+            head_mod, tail_div = prod(radices[1:]), radices[-1]
+            merges = []  # (i, start of the merged run, block offsets of digits i, i+1, lo, span)
+            for i in range(q if nj else 0):
+                lo = prod(radices[i + 2 :])
+                start = merged[comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]][0]
+                off1, off2 = (m if d == 1 else 0 for d in comp[i : i + 2])
+                merges.append((i, start, off1, off2, lo, radices[i] * radices[i + 1] * lo))
+            words = zip(count(), product(*map(range, radices)), picks)
+            for v, digits, pick in compress(words, picks):
+                outer = []  # (input column of each output coordinate, base column)
+                act = firsts[digits[0]]
+                if act:
+                    outer.append((act[0], act[1] + (head + v % head_mod) * act[2]))
+                act = lasts[digits[-1]]
+                if act:
+                    outer.append((act[0], act[1] + (tail + v // tail_div) * act[2]))
+                inner = []
+                for i, start, off1, off2, lo, span in merges:
+                    b = digits[i] - off1
+                    if b >= 0 and b == digits[i + 1] - off2:
+                        inner.append(base_off + (start + (v // span * nj + b) * lo + v % lo) * dim_out)
+                for r, b in pick:
+                    packed = 0
+                    for cols, base in outer:
+                        c = cols[r]
+                        if c >= 0:
+                            packed ^= 1 << local[base + c]
+                    for base in inner:
+                        packed ^= 1 << local[base + r]
+                    if packed:
+                        yield b, packed
 
     def _block_ranks(self, q: int, top: int) -> tuple[array, list[list[int]], list[array]]:
         """Rank of the q-th coboundary truncated at top on each weight block

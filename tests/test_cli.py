@@ -302,6 +302,26 @@ def test_bar_oracle(capsys):
     assert all(0 < b["widestBlock"] < b["columns"] for b in shapes)
 
 
+def test_bar_oracle_exits_1_where_its_exact_total_differs(capsys, monkeypatch):
+    # one rank too low at (2, -1) raises the Koszul side by one; without
+    # atoms a truncation through the last degree with cochains (2 here) is
+    # exact, so only there does the mismatch fail the command
+    real = HochschildComplex.rank
+
+    def rank(self, k, s):
+        return real(self, k, s) - ((k, s) == (2, -1))
+
+    monkeypatch.setattr(HochschildComplex, "rank", rank)
+    cell = ("bar-oracle", "--k", "2", "--s", "-1", "--max-internal-degree")
+    code, rep = run_json(capsys, *cell, "4", "--v-dim", "2")
+    assert code == 1 and rep["koszulHh"] == 7 and rep["factors"][-1]["cumulative"] == 6
+    assert rep["manifest"]["summary"] == "bar total 6 at full depth differs from the graded model's 7"
+    code, rep = run_json(capsys, *cell, "1", "--v-dim", "2")
+    assert code == 0 and rep["koszulHh"] == 7 and rep["factors"][-1]["cumulative"] == 0
+    code, rep = run_json(capsys, *cell, "4", "--v-dim", "1", "--atoms", "2")
+    assert code == 0 and rep["koszulHh"] == 9 and rep["factors"][-1]["cumulative"] == 8
+
+
 def run_child(argv, timeout, address_space_mb=None):
     """The command line in a fresh interpreter, killed after timeout seconds;
     with address_space_mb, under that RLIMIT_AS."""

@@ -498,35 +498,24 @@ def _bar_complex(m, n, blocks, s):
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
 def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
+    # whole rows, outer action terms included, so the positions of each
+    # word's truncations and merges and the words passed over are all checked
     bar = _bar_complex(m, n, blocks, s)
-    hc = bar.hc
-    for q in range(k + 1):
-        for e in range(7):
-            words = _reference_words(hc.m, hc.nj, q + 1, e)
-
-            def every(comp):
-                # each word picked, its pick its composition and number in the run
-                return [(comp, v) for v in range(prod(bar._shapes(q + 1, e)[comp][1]))]
-
-            links = list(bar._links(q, e, every))
-            assert len(links) == len(words) == bar.tensor_count(q + 1, e)
-            for w, (first, head, last, tail, joined, _) in zip(words, links):
-                assert (first, last) == (w[0], w[-1])
-                assert head == _reference_index(hc.m, hc.nj, q, e - w[0][0])[w[1:]]
-                assert tail == _reference_index(hc.m, hc.nj, q, e - w[-1][0])[w[:-1]]
-                merged = []
-                for i in range(q):
-                    block = _reference_merge(hc, w[i], w[i + 1])
-                    if block is not None:
-                        u = w[:i] + ((w[i][0] + w[i + 1][0], block),) + w[i + 2 :]
-                        merged.append(_reference_index(hc.m, hc.nj, q, e)[u])
-                assert joined == merged
-            # a selection passes over exactly the words of empty pick and
-            # leaves the positions of the others as they are
-            def some(comp):
-                return [key if hash(key) % 3 else () for key in every(comp)]
-
-            assert list(bar._links(q, e, some)) == [link for link in links if hash(link[-1]) % 3]
+    top = 5
+    for q in range(k - 1, k + 1):
+        layout = bar._layout(q, top)
+        weights = _reference_weights(bar, q, top)
+        block_of = _weight_blocks(layout, weights)
+        for e in range(top + 1):
+            expected = []
+            for entries in _reference_bar_rows(bar, q, e):
+                support = [c for c in set(entries) if entries.count(c) % 2]
+                if not support:
+                    continue
+                b = block_of[weights[support[0]]]
+                if layout.rep[b] == b:
+                    expected.append((b, sum(1 << layout.local[c] for c in support)))
+            assert list(bar._rows(q, e, layout)) == expected, (q, e)
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
