@@ -11,8 +11,8 @@ suffix, and the Koszul span oracle.  Lowest-bit pivots serve ``BitMatrix``
 and the Massey code: they fix the kernel bases (ordered by free column), the
 solutions with free variables zero and the canonical representatives of
 Massey product classes.  A ``BitMatrix`` is eliminated once, as the
-reduced echelon form of ``[m | I]``, and its rank, kernel basis and every
-solve read that one form.  A matrix with at most two entries per row, the
+reduced echelon form of ``[m | I]``, and its kernel basis and every solve
+read that one form; its rank is ``echelon_rank`` of its plain rows.  A matrix with at most two entries per row, the
 Koszul cochain differentials and strand matrices, is stored as one pair of
 index arrays ``first``, ``second`` (-1 for an absent entry, ``index_code``
 for the type) and gets its rank and kernel from one union-find instead
@@ -157,7 +157,8 @@ class BitMatrix:
         return self._rref
 
     def rank(self) -> int:
-        return sum(p < self.cols for p in self._reduced())
+        """The rank alone needs no tags: one plain elimination of the rows."""
+        return echelon_rank(self.rows)
 
     def kernel_basis(self) -> list[int]:
         """Basis of ``{x : m @ x = 0}``, ordered by free column index."""

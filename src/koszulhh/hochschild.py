@@ -24,7 +24,9 @@ internal degree by internal degree, as a cross-check on the Koszul route.
 Bar words are numbered, not stored: by degree composition, then in mixed
 radix over their factor indices, so a word's truncations and merges are
 arithmetic on its number, and one walk over the words of an output degree
-packs its rows.  The coboundary preserves a multidegree weight,
+packs its rows.  Word counts are a closed form and the composition runs are
+built factor by factor in a loop, so no depth recurses or fills a table of
+counts.  The coboundary preserves a multidegree weight,
 so every truncated matrix splits into a few hundred weight blocks.
 Permuting the v's, or coefficient blocks of equal atom count, maps blocks
 onto blocks of equal rank and filtration, so only one representative block
@@ -40,7 +42,8 @@ give the rank of every column suffix, and the rank after each output degree
 of the (k-1)-th gives every row prefix.  Past the last argument degree that
 has cochains every piece is zero and costs nothing.  Without atoms there is
 such a last degree, so a truncation through it gives the bigraded group
-exactly, and the command line fails a mismatch with the Koszul route there.
+exactly: bar_oracle marks that report exact, and the command line fails a
+mismatch with the Koszul route there.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, product
-from math import prod
+from math import comb, prod
 from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring, action
@@ -144,6 +147,7 @@ class BarReport:
     factors: tuple[BarFactor, ...]
     skipped_from: int | None  # smallest degree the cap kept out of the truncation
     matrices: tuple[BarBlocks, ...] = ()  # the eliminated matrices, ascending q
+    exact: bool = False  # the truncation reached the last degree with cochains
 
     @property
     def total(self) -> int:
@@ -369,6 +373,7 @@ class HochschildComplex:
 
     def random_cocycle(self, k: int, s: int, rng) -> Cochain:
         """Sum of a random subset of the cocycle_space basis, one bit per free component."""
+        capped_count(self.m, self.nj, k, self.cap)
         diff = self.differential(k, s)
         dsu, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
         chosen = bytearray(diff.n_cols)
@@ -383,13 +388,6 @@ class HochschildComplex:
 
     # -- bar-complex oracle --------------------------------------------------
 
-    def bar_complex(self, s: int) -> "_BarComplex":
-        """The reduced bar complex of shift s, built once per complex."""
-        bar = self._bar_cache.get(s)
-        if bar is None:
-            bar = self._bar_cache[s] = _BarComplex(self, s)
-        return bar
-
     def bar_oracle(self, k: int, s: int, max_internal_degree: int, cap: int | None = None) -> BarReport:
         """Per-degree cohomology factors of the reduced bar cochain complex.
 
@@ -400,14 +398,17 @@ class HochschildComplex:
         which stabilises to the bigraded group once top passes the relevant
         degrees.  The truncation level is the largest degree whose matrix
         workload fits under the cap; if that falls short of the request the
-        first unreached degree is reported in skipped_from.
+        first unreached degree is reported in skipped_from.  A truncation
+        through the last degree with cochains (only without atoms) is exact.
         """
         if k < 0:
             raise ValueError("negative cohomological degree")
         if max_internal_degree < 0:
             raise ValueError("negative internal degree")
         cap = DEFAULT_BAR_CAP if cap is None else cap
-        bar = self.bar_complex(s)
+        bar = self._bar_cache.get(s)
+        if bar is None:
+            bar = self._bar_cache[s] = _BarComplex(self, s)
         # past the last degree with cochains nothing changes: the workload
         # stays put and every piece is zero
         last = bar.last_degree(k)
@@ -426,7 +427,8 @@ class HochschildComplex:
         for d, piece in enumerate(pieces):
             cum += piece
             factors.append(BarFactor(d, cum, piece))
-        return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from, matrices)
+        exact = last is not None and top == last
+        return BarReport(k, s, max_internal_degree, tuple(factors), skipped_from, matrices, exact)
 
 
 @dataclass(frozen=True)
@@ -489,26 +491,28 @@ class _BarComplex:
     rank.  A cell assembles and ranks each of its matrices once, and the
     filtration pass reads the same buckets for the representatives with
     nonzero cohomology, counting each piece once per block of its orbit.
-    Tensor counts, cochain dimensions, shapes and layouts are memoized per
-    instance, so a complex is freed together with its HochschildComplex.
+    Tensor counts are a closed form; cochain dimensions, shapes and layouts
+    are memoized per instance, so a complex is freed together with its
+    HochschildComplex.
     """
 
     def __init__(self, hc: HochschildComplex, s: int):
         self.hc = hc
         self.s = s
-        # coefficient block of each module atom
-        self._atom_block = [
-            next(b for b, mask in enumerate(hc.blocks) if mask >> a & 1)
-            for a in range(hc.alg.atom_count)
-        ]
+        # coefficient block of each module atom and the atom count of each
+        # block, in one pass over the subring's masks (without a subring atom
+        # a is block a), so hc.blocks is not built before the cap is checked
+        if hc.subring is None:
+            self._atom_block, sizes = range(hc.nj), [1] * hc.nj
+        else:
+            self._atom_block = {a: b for b, mask in enumerate(hc.subring.blocks) for a in _bits(mask)}
+            sizes = [mask.bit_count() for mask in hc.subring.blocks]
         # weight digit positions that a symmetry permutes among themselves:
         # the blocks of each atom count, then the v's
-        sizes = [mask.bit_count() for mask in hc.blocks]
         self._groups = [[b for b, n in enumerate(sizes) if n == size] for size in sorted(set(sizes))]
         self._groups.append(list(range(hc.nj, hc.nj + hc.m)))
-        self._count_cache: dict = {}
         self._dim_cache: dict = {}
-        self._shape_cache: dict = {}
+        self._shape_cache: dict = {(0, 0): {(): (0, ())}}
         self._layout_cache: dict = {}
 
     def q_dim(self, e: int) -> int:
@@ -519,18 +523,19 @@ class _BarComplex:
         return self.hc.nj
 
     def tensor_count(self, q: int, e: int) -> int:
-        """Number of q-factor words of degree e.
+        """Number of q-factor words of degree e, in closed form.
 
-        Counts are tabulated factor count by factor count, so a deep q is
-        reached in a loop, not by recursion.
+        r factors have degree 1 (q_dim(1) choices each), and the other
+        q - r split the rest of the degree, e - r, into parts >= 2 (nj
+        choices each): C(e - q - 1, q - r - 1) ways, nonzero for r >= 2q - e.
         """
-        counts = self._count_cache
-        if (q, e) not in counts:
-            for p, d in product(range(q + 1), range(e + 1)):
-                if (p, d) not in counts:
-                    terms = (self.q_dim(i) * counts.get((p - 1, d - i), 0) for i in range(1, d + 1))
-                    counts[(p, d)] = sum(terms) + (p == d == 0)
-        return counts[(q, e)]
+        if e <= q:
+            return self.q_dim(1) ** q if e == q else 0
+        n1, nj = self.q_dim(1), self.hc.nj
+        return sum(
+            comb(q, r) * comb(e - q - 1, q - r - 1) * n1**r * nj ** (q - r)
+            for r in range(max(2 * q - e, 0), q)
+        )
 
     def last_degree(self, k: int) -> int | None:
         """Last argument degree with q-cochains for some q in k-1 .. k+1
@@ -552,25 +557,26 @@ class _BarComplex:
         The q-factor words of degree e run through the compositions of e that
         have words, in lexicographic order; within a run a word is the
         mixed-radix number of its factor indices, radix q_dim(d_j) at place j.
+        The runs of p factors are built from those of p - 1, in a loop over
+        p, for the degrees p .. p + (e - q) that a p-factor tail can have.
         """
-        key = (q, e)
-        hit = self._shape_cache.get(key)
-        if hit is None:
-            hit = {}
-            if q == 0:
-                if e == 0:
-                    hit[()] = (0, ())
-            else:
+        cache = self._shape_cache  # holds the empty word's run from the start
+        if (q, e) in cache:
+            return cache[(q, e)]
+        for p in range(1, q + 1):
+            for total in range(p, p + e - q + 1):
+                if (p, total) in cache:
+                    continue
+                runs = cache[(p, total)] = {}
                 start = 0
-                for d1 in range(1, e - q + 2):
+                for d1 in range(1, total - p + 2):
                     n = self.q_dim(d1)
                     if not n:
                         continue
-                    for rest, (_, radices) in self._shapes(q - 1, e - d1).items():
-                        hit[(d1,) + rest] = (start, (n,) + radices)
+                    for rest, (_, radices) in cache.get((p - 1, total - d1), {}).items():
+                        runs[(d1,) + rest] = (start, (n,) + radices)
                         start += n * prod(radices)
-            self._shape_cache[key] = hit
-        return hit
+        return cache.get((q, e), {})
 
     def cochain_dim(self, q: int, d: int) -> int:
         """Dimension of the q-cochains of argument degree <= d."""

@@ -10,7 +10,8 @@ rows of basis products that its product reads; a zero factor returns at once.
 On top of that sit defining systems for n-fold Massey products, the
 enumeration of every defining system for small inputs (each interior
 entry's cocycle sums walked in Gray-code order, so that a step moves each
-relation term the entry completes by one stored product), the statistical
+relation term the entry completes by one stored product, and the walks
+driven by one loop, so no entry costs a stack frame), the statistical
 check that products with vanishing neighbouring cups vanish, and the
 transfer of cocycles, coboundaries and whole defining systems backwards
 along a surjective quasi-isomorphism, where each lift is one solve of the
@@ -590,20 +591,23 @@ def massey_product_set(
 
     corners: set[int] = set()
 
-    def fill(pos: int) -> None:
-        if pos == len(inner):
-            for i, j in outer:
-                d = ds.expected_degree(i, j)
-                pre = alg.coboundary_preimage(GradedElement(d + 1, sums[(i, j)]))
-                if pre is None:
-                    return
-                entries[(i, j)] = pre
-            corner_bits = sums[corner]
-            if outer:
-                corner_bits ^= alg.product(first, entries[(2, n + 1)]).bits
-                corner_bits ^= alg.product(entries[(1, n)], last).bits
-            corners.add(boundaries.reduce(corner_bits))
-            return
+    def close() -> None:
+        """Set the outer entries to one preimage each and keep the corner's class."""
+        for i, j in outer:
+            d = ds.expected_degree(i, j)
+            pre = alg.coboundary_preimage(GradedElement(d + 1, sums[(i, j)]))
+            if pre is None:
+                return
+            entries[(i, j)] = pre
+        corner_bits = sums[corner]
+        if outer:
+            corner_bits ^= alg.product(first, entries[(2, n + 1)]).bits
+            corner_bits ^= alg.product(entries[(1, n)], last).bits
+        corners.add(boundaries.reduce(corner_bits))
+
+    def settings(pos: int) -> Iterator[int]:
+        """Set inner slot pos to each value of its span in turn, yielding
+        after each, then restore the sums it moved."""
         slot = inner[pos]
         d = ds.expected_degree(*slot)
         base = alg.coboundary_preimage(GradedElement(d + 1, sums[slot]))
@@ -625,11 +629,20 @@ def massey_product_set(
                 for target, moves in steps:
                     sums[target] ^= moves[k]
             entries[slot] = GradedElement(d, x)
-            fill(pos + 1)
+            yield pos
         for (target, _, _), value in zip(terms[pos], saved):
             sums[target] = value
 
-    fill(0)
+    # walks[p + 1] walks inner slot p; walks[0] yields once, so that with no
+    # inner slot the system is closed once
+    walks: list[Iterator[int]] = [iter([-1])]
+    while walks:
+        if next(walks[-1], None) is None:
+            walks.pop()
+        elif len(walks) <= len(inner):
+            walks.append(settings(len(walks) - 1))
+        else:
+            close()
     shifts = _all_sums(shift.rows.values())
     return {c ^ s for c in corners for s in shifts}
 

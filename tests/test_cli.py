@@ -378,6 +378,49 @@ def test_deep_cohomological_degrees_run_without_recursion():
     assert rep["cochain"] == rep["primitive"] == "" and rep["verified"] is True
 
 
+def test_deep_v_only_bar_truncations_run_in_loops():
+    # word counts are a closed form and word runs are built factor by
+    # factor, so the full depth of a v-only cell costs little at k = 1100
+    argv = ["bar-oracle", "--v-dim", "1", "--k", "1100", "--s", "-1100", "--max-internal-degree", "1101"]
+    proc = run_child(argv, timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["skippedFrom"] is None and rep["factors"][-1]["cumulative"] == rep["koszulHh"] == 1
+
+
+def test_bar_oracle_builds_no_atom_table_before_its_cap():
+    # 100,000 atoms: the degree-1 matrix is over the bar cap, and the
+    # coefficient blocks are read off the atom count, never as masks
+    argv = ["bar-oracle", "--atoms", "100000", "--k", "1", "--s", "0", "--max-internal-degree", "1"]
+    proc = run_child(argv, timeout=10, address_space_mb=400)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["skippedFrom"] == 1 and rep["koszulHh"] is None
+
+
+def test_a_huge_koszul_piece_with_a_zero_target_is_capped(capsys):
+    # count(70) * 2 columns of the (70, -69) differential, whose target
+    # piece is zero: both commands check the sequence cap first
+    code, rep = run_json(
+        capsys, "bar-oracle", "--v-dim", "2", "--k", "70", "--s", "-69", "--max-internal-degree", "0"
+    )
+    assert code == 0 and rep["koszulHh"] is None
+    assert "graded model skipped: admissible sequence enumeration" in rep["manifest"]["summary"]
+    code, out, err = run(capsys, "solve-coboundary", "--v-dim", "2", "--k", "70", "--s", "-69", "--random")
+    assert code == 3 and out == ""
+    assert err == "cap exceeded: admissible sequence enumeration\n"
+
+
+def test_massey_enumerates_many_inner_slots_without_recursion():
+    # 60 classes make 1,767 inner slots, past Python's recursion limit were
+    # each a frame; one loop drives the walks of all of them
+    classes = ",".join(["2:000"] * 60)
+    argv = ["massey", "--v-dim", "1", "--atoms", "3", "--top", "2", "--classes", classes, "--enumerate"]
+    proc = run_child(argv, timeout=10)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["classSet"] == [""]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

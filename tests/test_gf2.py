@@ -205,7 +205,9 @@ def test_solve_random_consistency():
         assert x is not None and m.mul_vec(x) == target
 
 
-def test_rank_kernel_and_solves_share_one_elimination(monkeypatch):
+def test_kernel_and_solves_share_one_elimination(monkeypatch):
+    """kernel_basis and every solve read one reduced [m | I]; rank needs no
+    tags and eliminates the plain rows, so it back-substitutes nothing."""
     calls = []
     back_substitute = EchelonBasis.back_substitute
 
@@ -215,7 +217,7 @@ def test_rank_kernel_and_solves_share_one_elimination(monkeypatch):
 
     monkeypatch.setattr(EchelonBasis, "back_substitute", counted)
     m = BitMatrix.from01(["1100", "0110", "1010", "0001"])
-    assert m.rank() == 3
+    assert m.rank() == 3 and calls == []
     assert [to01(v, 4) for v in m.kernel_basis()] == ["1110"]
     assert m.solve(from01("1010")) == from01("1000")
     assert m.solve(from01("0110")) == from01("1100")
@@ -228,7 +230,10 @@ def test_echelon_rank_matches_dense_rank():
     for _ in range(60):
         nr, nc = rng.randrange(1, 14), rng.randrange(1, 30)
         rows = [rng.getrandbits(nc) for _ in range(nr)]
-        assert echelon_rank(iter(rows)) == BitMatrix(rows, nc).rank()
+        # BitMatrix.rank is echelon_rank itself; the kernel of the reduced
+        # [m | I] is the independent side
+        m = BitMatrix(rows, nc)
+        assert echelon_rank(iter(rows)) == m.rank() == nc - len(m.kernel_basis())
 
 
 def test_echelon_rank_accepts_generators_and_zero_rows():

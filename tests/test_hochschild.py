@@ -496,6 +496,42 @@ def _bar_complex(m, n, blocks, s):
     return _BarComplex(HochschildComplex(ConnectedSumAlgebra(m, ring), subring), s)
 
 
+def _reference_tensor_counts(bar, q, e):
+    """Word counts by the recurrence on the first factor's degree, tabulated
+    for every factor count <= q and degree <= e."""
+    counts = {(0, 0): 1}
+    for p in range(1, q + 1):
+        for d in range(e + 1):
+            terms = (bar.q_dim(i) * counts.get((p - 1, d - i), 0) for i in range(1, d + 1))
+            counts[(p, d)] = sum(terms)
+    return counts
+
+
+@pytest.mark.parametrize("m", range(4))
+@pytest.mark.parametrize("n", range(4))
+def test_tensor_counts_and_word_runs_match_the_recurrence(m, n):
+    ring = BooleanRing(n) if n else None
+    subrings = [None] + ([Subring.trivial(ring), Subring(ring, [ring.one ^ 1, 1])] if n > 1 else [])
+    for subring in subrings:
+        bar = _BarComplex(HochschildComplex(ConnectedSumAlgebra(m, ring), subring), 0)
+        counts = _reference_tensor_counts(bar, 8, 12)
+        for q in range(9):
+            for e in range(13):
+                assert bar.tensor_count(q, e) == counts.get((q, e), 0), (q, e)
+                # the runs tile the words in lexicographic order of their
+                # compositions, whichever complex built the shorter runs
+                runs = bar._shapes(q, e)
+                fresh = _BarComplex(bar.hc, 0)._shapes(q, e)
+                assert list(runs.items()) == list(fresh.items())
+                assert list(runs) == sorted(runs)
+                start = 0
+                for comp, (first, radices) in runs.items():
+                    assert len(comp) == q and sum(comp) == e and first == start
+                    assert radices == tuple(map(bar.q_dim, comp)) and all(radices)
+                    start += prod(radices)
+                assert start == counts.get((q, e), 0)
+
+
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
 def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
     # whole rows, outer action terms included, so the positions of each
@@ -561,9 +597,15 @@ def test_bar_reports_past_the_last_degree_equal_the_degree_by_degree_walk(m, mon
     cases = [(k, s, cap) for k in range(5) for s in range(-4, 2) for cap in (1, 4, 30, None)]
     hc = HochschildComplex(ConnectedSumAlgebra(m))
     bounded = [hc.bar_oracle(k, s, 12, cap) for k, s, cap in cases]
+    # the bounded reports are exact where nothing was skipped (depth 12 is
+    # past every last degree here), and the walk knows no last degree
+    assert [r.exact for r in bounded] == [r.skipped_from is None for r in bounded]
+    assert any(r.exact for r in bounded)
     monkeypatch.setattr(_BarComplex, "last_degree", lambda bar, k: None)
     hc = HochschildComplex(ConnectedSumAlgebra(m))
-    assert bounded == [hc.bar_oracle(k, s, 12, cap) for k, s, cap in cases]
+    walked = [hc.bar_oracle(k, s, 12, cap) for k, s, cap in cases]
+    assert not any(r.exact for r in walked)
+    assert [replace(r, exact=False) for r in bounded] == walked
 
 
 def test_capped_bar_filtration_matches_the_per_floor_reference():
