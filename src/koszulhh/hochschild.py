@@ -7,7 +7,8 @@ sequence's ends and the positions of its two truncations from the arrays of
 koszul.sequence_links, so no sequence tuple is built.  Every row of the
 differential touches at most two coordinates (each end contributes at most
 one basis element), so it is stored as two column indices per row, and
-ranks and kernels reduce to union-find on the coordinate graph.  Memory is
+ranks and kernels reduce to union-find on the coordinate graph; a rank
+into or out of a zero module piece is 0 without any matrix.  Memory is
 linear in the cochain dimension; the (v_dim, atoms) = (2, 4) grid through
 k = 7 runs in about 83 MB.  Coboundaries of single cochains are computed
 sequence by sequence without building the matrix.  The action of a
@@ -30,16 +31,17 @@ counts.  The coboundary preserves a multidegree weight,
 so every truncated matrix splits into a few hundred weight blocks.
 Permuting the v's, or coefficient blocks of equal atom count, maps blocks
 onto blocks of equal rank and filtration, so only one representative block
-per symmetry orbit is assembled and eliminated (BarBlocks.eliminated counts
-them) and the others read its rank.  A cell assembles each of its matrices
-once, packing every row on the local columns of its block, and eliminates
-each representative once, so a zero cell costs one elimination per nonempty
-orbit.  The argument-degree filtration is the sum over blocks, and a block
-with zero cohomology contributes nothing, so only the representatives with
-nonzero cohomology get one more pass over the same rows, counted once per
-block of their orbit: the highest-bit pivots of the k-th coboundary
-give the rank of every column suffix, and the rank after each output degree
-of the (k-1)-th gives every row prefix.  Past the last argument degree that
+per symmetry orbit is laid out, assembled and eliminated
+(BarBlocks.eliminated counts them); it carries the size of its orbit, and
+every count over blocks is a sum weighted by it.  A cell assembles each of
+its matrices once, packing every row on the local columns of its block, and
+eliminates each representative once, so a zero cell costs one elimination
+per nonempty orbit.  The argument-degree filtration is the sum over
+blocks, and a block with zero cohomology contributes nothing, so only the
+representatives with nonzero cohomology get one more pass over the same
+rows, counted once per block of their orbit: the highest-bit pivots of the
+k-th coboundary give the rank of every column suffix, and the rank after
+each output degree of the (k-1)-th gives every row prefix.  Past the last argument degree that
 has cochains every piece is zero and costs nothing.  Without atoms there is
 such a last degree, so a truncation through it gives the bigraded group
 exactly: bar_oracle marks that report exact, and the command line fails a
@@ -50,11 +52,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, product
-from math import comb, prod
+from itertools import compress, count, groupby, product
+from math import comb, factorial, prod
 from typing import Iterator
 
 from .algebra import ConnectedSumAlgebra, GradedElement, Subring, action
@@ -285,7 +286,11 @@ class HochschildComplex:
         return SparseDifferential(first, second, n_cols)
 
     def rank(self, k: int, s: int) -> int:
+        """Rank of the coboundary out of (k, s); 0 without a differential
+        when either module piece it maps between is zero."""
         j = k + s
+        if not (self.module_dim(j) and self.module_dim(j + 1)):
+            return 0
         key = (k, min(j, 2))
         hit = self._rank_cache.get(key)
         if hit is not None:
@@ -309,8 +314,9 @@ class HochschildComplex:
     def check_caps(self, k: int, s: int) -> None:
         """Raise CapExceeded where hh(k, s) would, before any of its work.
 
-        hh reads the differentials out of (k, s) and (k-1, s); each
-        enumerates sequences only between two nonzero module pieces.
+        hh ranks the differentials out of (k, s) and (k-1, s), and rank
+        builds one, enumerating its sequences, only between two nonzero
+        module pieces.
         """
         for j in (k, k - 1) if k >= 1 else (k,):
             if self.module_dim(j + s) and self.module_dim(j + s + 1):
@@ -320,8 +326,7 @@ class HochschildComplex:
         if k < 0:
             raise ValueError("negative cohomological degree")
         cochains = self.cochain_dim(k, s)
-        rank_out = self.rank(k, s) if cochains else 0
-        cocycles = cochains - rank_out
+        cocycles = cochains - self.rank(k, s)
         coboundaries = self.rank(k - 1, s) if k >= 1 else 0
         return HhReport(k, s, cochains, cocycles, coboundaries, cocycles - coboundaries)
 
@@ -433,24 +438,24 @@ class HochschildComplex:
 
 @dataclass(frozen=True)
 class _Layout:
-    """Weight blocks of the q-cochains of argument degree <= top.
+    """Representative weight blocks of the q-cochains of argument degree <= top.
 
-    Global column c has index local[c] within its weight block; local indices
-    keep the global order, so within a block they still ascend by argument
-    degree.  codes[b] is the weight code of block b in base radix,
-    and starts[d][b] counts its columns of argument degree < d for d = 0 ..
-    top + 1, so the last entry holds the block sizes.  rep[b] is the
-    representative of the symmetry orbit of block b and orbit[b] the number
-    of blocks in that orbit; factor_codes[d] holds the weight codes of the
-    tensor factors of degree d.
+    Only the representative of each symmetry orbit of weight blocks is laid
+    out: ids maps its weight code, in base radix, to its block number, and
+    orbit[b] is the number of blocks in the orbit of block b.  A global
+    column c of a representative block has index local[c] within it, and
+    every other column has local[c] = -1.  Local indices keep the global
+    order, so within a block they still ascend by argument degree.
+    starts[d][b] counts the columns of block b of argument degree < d for
+    d = 0 .. top + 1, so the last entry holds the block sizes.
+    factor_codes[d] holds the weight codes of the tensor factors of degree d.
     """
 
     local: array
-    codes: list[int]
+    ids: dict[int, int]
     starts: list[array]
     radix: int
     factor_codes: list[list[int]]
-    rep: array
     orbit: array
 
     @property
@@ -480,15 +485,15 @@ class _BarComplex:
     keeps argument degrees and maps the block of weight w onto that of the
     permuted weight.  So the blocks of one orbit have equal sizes, ranks and
     filtration pieces, exactly.  The representative of an orbit is the
-    block whose weight digits are sorted within each group of
-    interchangeable positions.  Rows are assembled only for representative
-    blocks: a row (word t, output coordinate r) lies in the block of code
-    mdeg(r) - mdeg(t), so a word none of whose rows lands in a
+    block whose weight digits ascend within each group of interchangeable
+    positions, and it is the only block of its orbit that is laid out,
+    carrying the orbit's size (_orbit).  Rows are assembled only for
+    representative blocks: a row (word t, output coordinate r) lies in the
+    block of code mdeg(r) - mdeg(t), so a word none of whose rows lands in a
     representative is passed over before its merges are read.  Rows are
     assembled in ascending output degree, packed on the local indices and
-    appended to their block's bucket; each representative bucket is
-    eliminated on its own and every other block reads its representative's
-    rank.  A cell assembles and ranks each of its matrices once, and the
+    appended to their block's bucket, and each bucket is eliminated on its
+    own.  A cell assembles and ranks each of its matrices once, and the
     filtration pass reads the same buckets for the representatives with
     nonzero cohomology, counting each piece once per block of its orbit.
     Tensor counts are a closed form; cochain dimensions, shapes and layouts
@@ -624,28 +629,35 @@ class _BarComplex:
         basis = (self.hc.alg.element(j, 1 << c) for c in range(self.hc.module_dim(j)))
         return [self._weight_code(x, radix) for x in basis]
 
-    def _canonical(self, code: int, radix: int) -> int:
-        """Weight code of the representative of the orbit of code: its digits
-        sorted within each group of interchangeable positions."""
+    def _orbit(self, code: int, radix: int) -> int:
+        """Size of the symmetry orbit of the block of weight code if its
+        digits ascend within each group of interchangeable positions, which
+        makes it the orbit's representative, and 0 otherwise.  The orbit is
+        the distinct permutations of the digits within each group."""
         digits = []
         for _ in range(self.hc.nj + self.hc.m):
             d = (code + radix // 2) % radix - radix // 2
             digits.append(d)
             code = (code - d) // radix
+        size = 1
         for group in self._groups:
-            for p, d in zip(group, sorted(digits[p] for p in group)):
-                digits[p] = d
-        return sum(d * radix**p for p, d in enumerate(digits))
+            run = [digits[p] for p in group]
+            if run != sorted(run):
+                return 0
+            size *= factorial(len(run)) // prod(factorial(len(list(g))) for _, g in groupby(run))
+        return size
 
     def _layout(self, q: int, top: int) -> _Layout:
-        """Weight block and local index of every q-cochain column up to degree top.
+        """Representative weight blocks of the q-cochains up to degree top,
+        and the local index of each of their columns.
 
-        One counting pass in global column order: a column joins the block
-        of its weight code and takes the number of columns that joined
-        before it as its local index.  Weight digits lie in [-top, top + s],
-        and v digits in [-top, 1], so radix 2 (top + |s|) + 3 keeps the
-        codes apart.  Every block of an orbit is present, the representative
-        included, so the orbit sizes are counted off the blocks.
+        One counting pass in global column order: a column of a
+        representative block takes the number of columns that joined its
+        block before it as its local index, and any other column gets -1.
+        The columns of one word share its weight code, so which of them land
+        in a representative block, and in which, is found once per code and
+        degree.  Weight digits lie in [-top, top + s], and v digits in
+        [-top, 1], so radix 2 (top + |s|) + 3 keeps the codes apart.
         """
         key = (q, top)
         hit = self._layout_cache.get(key)
@@ -656,34 +668,36 @@ class _BarComplex:
             [self._weight_code(self._factor_element(d, i), radix) for i in range(self.q_dim(d))]
             for d in range(top + 1)
         ]
-        ids: dict[int, int] = {}
-        codes: list[int] = []
-        counts: list[int] = []
-        code = index_code(self.cochain_dim(q, top))
-        local = array(code)
+        sizes: dict[int, int] = {}  # weight code -> _orbit
+        counts: dict[int, int] = {}  # representative weight code -> its columns so far
+        local = array(index_code(self.cochain_dim(q, top)))
         starts = []
         for e in range(top + 1):
-            starts.append(counts[:])
+            starts.append(list(counts.values()))
             module = self._module_codes(e + self.s, radix)
             if not module:
                 continue
+            absent = array(local.typecode, [-1]) * len(module)
+            picked: dict[int, list] = {}  # word code -> (c - len(module), w) of its kept columns
             for comp in self._shapes(q, e):
                 for word in _word_codes(comp, factor_codes):
-                    for c_code in module:
-                        w = c_code - word
-                        b = ids.get(w)
-                        if b is None:
-                            b = ids[w] = len(codes)
-                            codes.append(w)
-                            counts.append(0)
-                        local.append(counts[b])
-                        counts[b] += 1
-        starts.append(counts)
-        starts = [array("i", s + [0] * (len(codes) - len(s))) for s in starts]
-        rep = array("i", [ids[self._canonical(w, radix)] for w in codes])
-        sizes = Counter(rep)
-        orbit = array("i", [sizes[r] for r in rep])
-        hit = _Layout(local, codes, starts, radix, factor_codes, rep, orbit)
+                    pick = picked.get(word)
+                    if pick is None:
+                        pick = picked[word] = []
+                        for c, c_code in enumerate(module, -len(module)):
+                            w = c_code - word
+                            if w not in sizes:
+                                sizes[w] = self._orbit(w, radix)
+                            if sizes[w]:
+                                pick.append((c, w))
+                    local.extend(absent)
+                    for c, w in pick:
+                        i = local[c] = counts.get(w, 0)
+                        counts[w] = i + 1
+        starts.append(list(counts.values()))
+        starts = [array("i", s + [0] * (len(counts) - len(s))) for s in starts]
+        ids = {w: b for b, w in enumerate(counts)}
+        hit = _Layout(local, ids, starts, radix, factor_codes, array("i", map(sizes.__getitem__, counts)))
         self._layout_cache[key] = hit
         return hit
 
@@ -711,7 +725,6 @@ class _BarComplex:
         if not dim_out or not self.tensor_count(q + 1, e):
             return
         local = layout.local
-        reps = {layout.codes[b]: b for b, r in enumerate(layout.rep) if r == b}  # code -> block
         module = self._module_codes(e + self.s, layout.radix)
         picked: dict[int, list[tuple[int, int]]] = {}  # word code -> (r, block) of its rows
         # per factor degree d, per factor index: the input column of each
@@ -727,7 +740,7 @@ class _BarComplex:
         for comp, (_, radices) in self._shapes(q + 1, e).items():
             codes = _word_codes(comp, layout.factor_codes)
             for w in set(codes).difference(picked):
-                picked[w] = [(r, reps[c - w]) for r, c in enumerate(module) if c - w in reps]
+                picked[w] = [(r, layout.ids[c - w]) for r, c in enumerate(module) if c - w in layout.ids]
             picks = list(map(picked.__getitem__, codes))
             if not any(picks):
                 continue
@@ -767,24 +780,23 @@ class _BarComplex:
                         yield b, packed
 
     def _block_ranks(self, q: int, top: int) -> tuple[array, list[list[int]], list[array]]:
-        """Rank of the q-th coboundary truncated at top on each weight block
-        of the q-cochains, with the rows it was read from.
+        """Rank of the q-th coboundary truncated at top on each
+        representative weight block of the q-cochains, with the rows it was
+        read from.
 
-        The rows go into one bucket per block, in ascending output degree,
-        for the representative blocks only; ends[e][b] is the length of
-        bucket b once the rows of output degree e are in, and no row is
-        wider than its block.  One echelon_rank per nonempty bucket; every
-        other block reads its representative's rank.
+        The rows go into one bucket per representative block, in ascending
+        output degree; ends[e][b] is the length of bucket b once the rows of
+        output degree e are in, and no row is wider than its block.  One
+        echelon_rank per nonempty bucket.
         """
         layout = self._layout(q, top)
-        buckets: list[list[int]] = [[] for _ in layout.codes]
+        buckets: list[list[int]] = [[] for _ in layout.orbit]
         ends = []
         for e in range(top + 1):
             for b, packed in self._rows(q, e, layout):
                 buckets[b].append(packed)
             ends.append(array("i", map(len, buckets)))
-        ranks = [echelon_rank(rows) if rows else 0 for rows in buckets]
-        return array("i", [ranks[r] for r in layout.rep]), buckets, ends
+        return array("i", [echelon_rank(rows) if rows else 0 for rows in buckets]), buckets, ends
 
     # -- cohomology ----------------------------------------------------------
 
@@ -801,9 +813,9 @@ class _BarComplex:
         decreasing filtration on cohomology difference to one piece per
         degree, and the pieces sum to the truncated cohomology.  The
         filtration is the sum of those of the weight blocks, and a block with
-        zero cohomology has every piece zero, so only the blocks with
-        nonzero cohomology are read; of those, only the representatives,
-        each counted once per block of its orbit.  The (k-1)-block below a
+        zero cohomology has every piece zero, so only the representatives
+        with nonzero cohomology are read, each counted once per block of its
+        orbit, as are the block counts of BarBlocks.  The (k-1)-block below a
         representative has the same weight code, so it is a representative
         too.
 
@@ -825,23 +837,22 @@ class _BarComplex:
         h = [size - r for size, r in zip(layout.sizes, ranks_out)]
         lower = {}  # k-block -> the (k-1)-block of the same weight
         if k >= 1:
-            ids = {w: b for b, w in enumerate(layout.codes)}
             ranks_in, rows_in, ends = self._block_ranks(k - 1, top)
-            for b_in, w in enumerate(self._layout(k - 1, top).codes):
-                b = ids.get(w)
+            for w, b_in in self._layout(k - 1, top).ids.items():
+                b = layout.ids.get(w)
                 if b is not None:
                     lower[b] = b_in
                     h[b] -= ranks_in[b_in]
         blocks = [b for b, left in enumerate(h) if left]
-        read = {k - 1: sum(b in lower for b in blocks), k: len(blocks)}
+        orbit = layout.orbit
+        read = {k - 1: sum(orbit[b] for b in blocks if b in lower), k: sum(orbit[b] for b in blocks)}
         matrices = []
         for q in range(max(k - 1, 0), k + 1):
             shape = self._layout(q, top)
             widest = max(shape.sizes, default=0)
-            orbits = sum(r == b for b, r in enumerate(shape.rep))
             columns = len(shape.local)
-            matrices.append(BarBlocks(q, columns, len(shape.codes), widest, read[q], orbits))
-        for b in (b for b in blocks if layout.rep[b] == b):
+            matrices.append(BarBlocks(q, columns, sum(shape.orbit), widest, read[q], len(shape.orbit)))
+        for b in blocks:
             basis = EchelonBasis()
             basis.extend(rows_out[b])
             pivots = basis.pivots()
@@ -861,7 +872,7 @@ class _BarComplex:
                 cocycles = layout.sizes[b] - floor - (len(pivots) - bisect_left(pivots, floor))
                 filtered.append(cocycles - (below[top + 1] - below[d]))
             for d in range(top + 1):
-                pieces[d] += layout.orbit[b] * (filtered[d] - filtered[d + 1])
+                pieces[d] += orbit[b] * (filtered[d] - filtered[d + 1])
         return pieces, tuple(matrices)
 
 

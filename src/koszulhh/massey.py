@@ -15,7 +15,8 @@ driven by one loop, so no entry costs a stack frame), the statistical
 check that products with vanishing neighbouring cups vanish, and the
 transfer of cocycles, coboundaries and whole defining systems backwards
 along a surjective quasi-isomorphism, where each lift is one solve of the
-source differential stacked on the map.
+source differential stacked on the map; the map keeps one stack per degree,
+so the lifts into a degree share one elimination.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import ConnectedSumAlgebra, GradedElement, action
@@ -258,6 +259,17 @@ class DgMap:
         for d, mat in enumerate(self.mats):
             if mat.nrows != self.target.dim(d) or mat.cols != self.source.dim(d):
                 raise ValueError(f"matrix at degree {d} has the wrong shape")
+
+    @cached_property
+    def lift_stacks(self) -> tuple[BitMatrix, ...]:
+        """Per degree d, the source differential's rows at d stacked on the
+        map's, so every lift into degree d reads the one reduced ``[m | I]``
+        of its stack."""
+        src = self.source
+        return tuple(
+            BitMatrix((src.diffs[d].rows if d < src.top else ()) + self.mats[d].rows, src.dim(d))
+            for d in range(src.top + 1)
+        )
 
     def apply(self, a: GradedElement) -> GradedElement:
         if a.degree > self.source.top:
@@ -720,17 +732,16 @@ def strong_massey_check(
 
 def _lift(q: DgMap, d: int, boundary: int, image: int) -> int | None:
     """Bits of some x in source degree d with diff(x) = boundary and
-    q(x) = image, or None, from one solve: the source differential's rows at
-    degree d stacked on q's.  An acyclic fibration maps cocycles onto
-    cocycles, and any (b, c) with q(b) = diff(c) has such an x."""
+    q(x) = image, or None, from one solve on q's lift stack at degree d.  An
+    acyclic fibration maps cocycles onto cocycles, and any (b, c) with
+    q(b) = diff(c) has such an x."""
     src = q.source
     if not 0 <= d <= src.top:
         return None if boundary or image else 0
-    diff_rows = src.diffs[d].rows if d < src.top else ()
-    if boundary >> len(diff_rows):
+    boundary_len = src.dim(d + 1) if d < src.top else 0
+    if boundary >> boundary_len:
         return None
-    stacked = BitMatrix(diff_rows + q.mats[d].rows, src.dim(d))
-    return stacked.solve(boundary | image << len(diff_rows))
+    return q.lift_stacks[d].solve(boundary | image << boundary_len)
 
 
 def lift_cocycle(q: DgMap, target_cocycle: GradedElement) -> GradedElement:

@@ -388,6 +388,17 @@ def test_deep_v_only_bar_truncations_run_in_loops():
     assert rep["skippedFrom"] is None and rep["factors"][-1]["cumulative"] == rep["koszulHh"] == 1
 
 
+def test_kadeishvili_ranks_no_piece_between_zero_module_pieces():
+    # without atoms every obstruction bidegree has module degree 2, a zero
+    # piece, so each rank is 0 before any differential over its 2^k
+    # sequences is built
+    proc = run_child(["kadeishvili", "--v-dim", "2", "--k-max", "70"], timeout=10, address_space_mb=400)
+    assert proc.returncode == 0 and proc.stderr == ""
+    rep = json.loads(proc.stdout)
+    assert rep["passed"] is True and len(rep["results"]) == 68
+    assert all(row["cochains"] == row["hh"] == 0 for row in rep["results"])
+
+
 def test_bar_oracle_builds_no_atom_table_before_its_cap():
     # 100,000 atoms: the degree-1 matrix is over the bar cap, and the
     # coefficient blocks are read off the atom count, never as masks

@@ -299,6 +299,28 @@ def test_bar_factors_concentrate_at_the_expected_degree():
     assert [f.increment for f in rep2.factors] == [0, 0, 0, 6, 0, 0, 0, 0, 0]
 
 
+def test_bar_totals_one_degree_past_k_equal_the_koszul_route():
+    """An observation, for tests only: on every cell below, nonzero ones
+    included, the bar truncation through argument degree k + 1, and through
+    k + 2, already carries all of HH^(k,s).  With atoms no degree is known
+    past which the truncation has stabilised, so the command line makes
+    no exit code of this; it fails a mismatch only where a report is exact.
+    """
+    algebras = [(m, n, None) for m in range(3) for n in range(1, 4)]
+    algebras += [(m, 3, ((0, 1), (2,))) for m in range(3)]
+    nonzero = 0
+    for m, n, blocks in algebras:
+        hc = _bar_complex(m, n, blocks, 0).hc
+        for k in range(5):
+            for s in range(-k - 1, 3):
+                hh = hc.hh(k, s).cohomology
+                nonzero += hh > 0
+                for depth in (k + 1, k + 2):
+                    rep = hc.bar_oracle(k, s, depth)
+                    assert rep.skipped_from is None and rep.total == hh, (m, n, blocks, k, s, depth)
+    assert nonzero == 108
+
+
 def test_bar_degree_zero_class_of_the_unit():
     alg = ConnectedSumAlgebra(1, BooleanRing(3))
     rep = HochschildComplex(alg).bar_oracle(0, 0, 4)
@@ -462,14 +484,49 @@ def _reference_weights(bar, q, top):
     return out
 
 
-def _weight_blocks(layout, weights):
-    """Block of each distinct reference weight, found through its code: the
-    weight's digits in base layout.radix.  The codes of the distinct weights
-    are exactly the layout's codes."""
-    ids = {code: b for b, code in enumerate(layout.codes)}
-    block_of = {w: ids[sum(x * layout.radix**p for p, x in enumerate(w))] for w in set(weights)}
-    assert sorted(block_of.values()) == list(range(len(layout.codes)))
+def _code(weight, radix):
+    """The weight's digits in base radix."""
+    return sum(x * radix**p for p, x in enumerate(weight))
+
+
+def _weight_blocks(layout, weights, laid_out):
+    """Block of each distinct reference weight that the layout holds, found
+    through its code.  The layout holds exactly the weights for which
+    laid_out is true, numbered 0 .. len(layout.orbit) - 1."""
+    codes = {w: _code(w, layout.radix) for w in set(weights)}
+    block_of = {w: layout.ids[code] for w, code in codes.items() if code in layout.ids}
+    assert set(block_of) == {w for w in codes if laid_out(w)}
+    assert len(layout.ids) == len(layout.orbit)
+    assert sorted(block_of.values()) == list(range(len(layout.orbit)))
     return block_of
+
+
+def _symmetry_groups(hc):
+    """Weight digit positions that a symmetry permutes among themselves:
+    the coefficient blocks of each atom count, then the v's."""
+    sizes = [mask.bit_count() for mask in hc.blocks]
+    groups = [[b for b in range(hc.nj) if sizes[b] == size] for size in set(sizes)]
+    return groups + [list(range(hc.nj, hc.nj + hc.m))]
+
+
+def _sorted_within(weight, groups):
+    """The weight with its digits sorted within each group: the
+    representative of its orbit."""
+    out = list(weight)
+    for group in groups:
+        for p, x in zip(group, sorted(weight[p] for p in group)):
+            out[p] = x
+    return tuple(out)
+
+
+def _complexes(m, n, blocks, s):
+    """The bar complex twice with its laid-out weights: as built, which lays
+    out one representative per orbit, and with every block laid out as its
+    own orbit of size 1."""
+    bar, every = _bar_complex(m, n, blocks, s), _bar_complex(m, n, blocks, s)
+    every._orbit = lambda code, radix: 1
+    groups = _symmetry_groups(bar.hc)
+    return [(bar, lambda w: _sorted_within(w, groups) == w), (every, lambda w: True)]
 
 
 # the four exceptional fixtures of the acceptance suite, coarser subrings
@@ -535,53 +592,56 @@ def test_tensor_counts_and_word_runs_match_the_recurrence(m, n):
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
 def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
     # whole rows, outer action terms included, so the positions of each
-    # word's truncations and merges and the words passed over are all checked
-    bar = _bar_complex(m, n, blocks, s)
+    # word's truncations and merges and the words passed over are all checked,
+    # on the representative blocks and on every block
     top = 5
-    for q in range(k - 1, k + 1):
-        layout = bar._layout(q, top)
-        weights = _reference_weights(bar, q, top)
-        block_of = _weight_blocks(layout, weights)
-        for e in range(top + 1):
-            expected = []
-            for entries in _reference_bar_rows(bar, q, e):
-                support = [c for c in set(entries) if entries.count(c) % 2]
-                if not support:
-                    continue
-                b = block_of[weights[support[0]]]
-                if layout.rep[b] == b:
-                    expected.append((b, sum(1 << layout.local[c] for c in support)))
-            assert list(bar._rows(q, e, layout)) == expected, (q, e)
+    for bar, laid_out in _complexes(m, n, blocks, s):
+        for q in range(k - 1, k + 1):
+            layout = bar._layout(q, top)
+            weights = _reference_weights(bar, q, top)
+            block_of = _weight_blocks(layout, weights, laid_out)
+            for e in range(top + 1):
+                expected = []
+                for entries in _reference_bar_rows(bar, q, e):
+                    support = [c for c in set(entries) if entries.count(c) % 2]
+                    if support and weights[support[0]] in block_of:
+                        b = block_of[weights[support[0]]]
+                        expected.append((b, sum(1 << layout.local[c] for c in support)))
+                assert list(bar._rows(q, e, layout)) == expected, (q, e)
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
 def test_every_bar_row_lies_in_one_weight_block(m, n, blocks, k, s):
-    bar = _bar_complex(m, n, blocks, s)
     top = 5
-    for q in range(max(k - 1, 0), k + 1):
-        weights = _reference_weights(bar, q, top)
-        layout = bar._layout(q, top)
-        # the layout's blocks are exactly the weights, and the local index of
-        # a column counts the earlier columns of its weight
-        by_block = sorted(_weight_blocks(layout, weights).items(), key=lambda item: item[1])
-        assert len(layout.local) == len(weights) == bar.cochain_dim(q, top)
-        seen = Counter()
-        for w, i in zip(weights, layout.local):
-            assert i == seen[w]
-            seen[w] += 1
-        assert list(layout.sizes) == [seen[w] for w, _ in by_block]
-        for d in range(top + 2):
-            below = Counter(weights[: bar.cochain_dim(q, d - 1)])
-            assert list(layout.starts[d]) == [below[w] for w, _ in by_block]
-        # every row keeps the weight, so its support lies in one block, and
-        # the full rank is the sum of the block ranks
-        packed = []
-        for e in range(top + 1):
-            for entries in _reference_bar_rows(bar, q, e):
-                support = {c for c in entries if entries.count(c) % 2}
-                assert len({weights[c] for c in support}) <= 1, (q, e, support)
-                packed.append(sum(1 << c for c in support))
-        assert sum(bar._block_ranks(q, top)[0]) == echelon_rank(packed)
+    for bar, laid_out in _complexes(m, n, blocks, s):
+        for q in range(max(k - 1, 0), k + 1):
+            weights = _reference_weights(bar, q, top)
+            layout = bar._layout(q, top)
+            # the layout's blocks are exactly the laid-out weights, and the
+            # local index of one of their columns counts the earlier columns
+            # of its weight; any other column has none
+            block_of = _weight_blocks(layout, weights, laid_out)
+            by_block = sorted(block_of.items(), key=lambda item: item[1])
+            assert len(layout.local) == len(weights) == bar.cochain_dim(q, top)
+            seen = Counter()
+            for w, i in zip(weights, layout.local):
+                assert i == (seen[w] if w in block_of else -1)
+                seen[w] += 1
+            assert list(layout.sizes) == [seen[w] for w, _ in by_block]
+            for d in range(top + 2):
+                below = Counter(weights[: bar.cochain_dim(q, d - 1)])
+                assert list(layout.starts[d]) == [below[w] for w, _ in by_block]
+            # every row keeps the weight, so its support lies in one block,
+            # and the full rank is the sum of the block ranks, each counted
+            # once per block of its orbit
+            packed = []
+            for e in range(top + 1):
+                for entries in _reference_bar_rows(bar, q, e):
+                    support = {c for c in entries if entries.count(c) % 2}
+                    assert len({weights[c] for c in support}) <= 1, (q, e, support)
+                    packed.append(sum(1 << c for c in support))
+            ranks = bar._block_ranks(q, top)[0]
+            assert sum(map(prod, zip(layout.orbit, ranks))) == echelon_rank(packed)
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
@@ -678,34 +738,42 @@ def _reference_orbit(weight, groups):
 
 @pytest.mark.parametrize("m, n, blocks, k, s", ORBIT_CELLS)
 def test_bar_orbits_are_the_weight_permutations(m, n, blocks, k, s):
-    bar = _bar_complex(m, n, blocks, s)
-    hc = bar.hc
-    sizes = [mask.bit_count() for mask in hc.blocks]
-    groups = [[b for b in range(hc.nj) if sizes[b] == size] for size in set(sizes)]
-    groups.append(list(range(hc.nj, hc.nj + hc.m)))
+    (bar, canonical), (every, _) = _complexes(m, n, blocks, s)
+    groups = _symmetry_groups(bar.hc)
     top = 5
     for q in range(max(k - 1, 0), k + 2):
-        layout = bar._layout(q, top)
-        block_of = _weight_blocks(layout, _reference_weights(bar, q, top))
-        for w, b in block_of.items():
-            orbit = {block_of[image] for image in _reference_orbit(w, groups)}
-            assert layout.rep[b] in orbit and {layout.rep[c] for c in orbit} == {layout.rep[b]}
-            assert layout.orbit[b] == len(orbit)
-            # the blocks of an orbit have equal sizes and equal degree floors
-            assert len({tuple(st[c] for st in layout.starts) for c in orbit}) == 1
+        weights = _reference_weights(bar, q, top)
+        layout, full = bar._layout(q, top), every._layout(q, top)
+        block_of = _weight_blocks(layout, weights, canonical)
+        every_block = _weight_blocks(full, weights, lambda w: True)
+        for w in set(weights):
+            orbit = _reference_orbit(w, groups)
+            # one laid-out block per orbit, counting the orbit's blocks
+            (rep,) = orbit & set(block_of)
+            assert layout.orbit[block_of[rep]] == len(orbit)
+            # the blocks of an orbit have equal sizes and equal degree
+            # floors, those of the representative
+            floors = {tuple(st[every_block[image]] for st in full.starts) for image in orbit}
+            assert floors == {tuple(st[block_of[rep]] for st in layout.starts)}
         if blocks == ((0, 1), (2,)) and m < 2:
-            assert list(layout.orbit) == [1] * len(layout.codes)
+            assert list(layout.orbit) == [1] * len(every_block)
 
 
 @pytest.mark.parametrize("m, n, blocks, k, s", ORBIT_CELLS)
 def test_bar_orbit_sums_equal_the_elimination_of_every_block(m, n, blocks, k, s, monkeypatch):
     orbits, every = _bar_complex(m, n, blocks, s), _bar_complex(m, n, blocks, s)
-    # each code its own representative: every block is assembled and eliminated
-    monkeypatch.setattr(every, "_canonical", lambda code, radix: code)
+    # each block its own orbit: every block is assembled and eliminated
+    monkeypatch.setattr(every, "_orbit", lambda code, radix: 1)
+    groups = _symmetry_groups(orbits.hc)
     for top in range(7):
         for q in range(max(k - 1, 0), k + 1):
-            assert list(every._layout(q, top).orbit) == [1] * len(every._layout(q, top).codes)
-            assert orbits._block_ranks(q, top)[0] == every._block_ranks(q, top)[0]
+            full, layout = every._layout(q, top), orbits._layout(q, top)
+            assert list(full.orbit) == [1] * len(full.ids)
+            # each block has the rank of its orbit's representative
+            ranks, reps = every._block_ranks(q, top)[0], orbits._block_ranks(q, top)[0]
+            for w in set(_reference_weights(every, q, top)):
+                rep = _sorted_within(w, groups)
+                assert ranks[full.ids[_code(w, full.radix)]] == reps[layout.ids[_code(rep, layout.radix)]]
         pieces, matrices = orbits.cohomology(k, top)
         everywhere = every.cohomology(k, top)
         assert pieces == everywhere[0]
@@ -734,22 +802,21 @@ def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):
     # and so does the same cell again: nothing is kept between cells
     assert hc.bar_oracle(2, -1, 6) == rep and assembled == [2, 1, 2, 1]
     assembled.clear()
-    bar = hc._bar_cache[-1]
+    # counted on a complex that lays out every block as its own orbit
+    every = _BarComplex(hc, -1)
+    monkeypatch.setattr(every, "_orbit", lambda code, radix: 1)
     assert [m.q for m in rep.matrices] == [1, 2]
     for m in rep.matrices:
-        layout = bar._layout(m.q, 6)
+        layout = every._layout(m.q, 6)
         assert (m.columns, m.blocks, m.widest) == (
-            bar.cochain_dim(m.q, 6), len(layout.codes), max(layout.sizes)
+            every.cochain_dim(m.q, 6), len(layout.ids), max(layout.sizes)
         )
     # the blocks read again are those whose size exceeds the rank of the
     # coboundary out of them plus that into the block of their weight
-    into = dict(zip(bar._layout(1, 6).codes, bar._block_ranks(1, 6)[0]))
-    layout = bar._layout(2, 6)
-    hot = [
-        w
-        for w, size, rank in zip(layout.codes, layout.sizes, bar._block_ranks(2, 6)[0])
-        if size - rank - into.get(w, 0)
-    ]
+    ranks = every._block_ranks(1, 6)[0]
+    into = {w: ranks[b] for w, b in every._layout(1, 6).ids.items()}
+    layout, ranks = every._layout(2, 6), every._block_ranks(2, 6)[0]
+    hot = [w for w, b in layout.ids.items() if layout.sizes[b] - ranks[b] - into.get(w, 0)]
     assert rep.matrices[1].nonzero == len(hot) > 0
     assert rep.matrices[0].nonzero == sum(w in into for w in hot)
     assembled.clear()
@@ -758,9 +825,11 @@ def test_bar_oracle_reports_the_block_shape_of_each_matrix(monkeypatch):
     # k = 0: one matrix, no block below
     assembled.clear()
     rep = hc.bar_oracle(0, 1, 6)
-    layout = hc._bar_cache[1]._layout(0, 6)
+    every = _BarComplex(hc, 1)
+    monkeypatch.setattr(every, "_orbit", lambda code, radix: 1)
+    layout = every._layout(0, 6)
     assert [(m.q, m.columns, m.blocks) for m in rep.matrices] == [
-        (0, len(layout.local), len(layout.codes))
+        (0, len(layout.local), len(layout.ids))
     ]
     assert assembled == [0]
     # no 3-cochain has argument degree below 3, so the truncation at 2 is empty

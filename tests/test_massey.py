@@ -470,6 +470,25 @@ def test_lift_defining_system():
     assert down.same_class(massey_product(ds))
 
 
+def test_lifts_into_one_degree_eliminate_one_stack(monkeypatch):
+    # every entry of a triple product of degree-1 classes lies in degree 1:
+    # the five lifts read the one reduced stack of degree 1, and the class
+    # checks one differential of each algebra, three eliminations in all
+    H = zero_diff_algebra(0, 3, 4)
+    ext, proj = extend_with_acyclic_pairs(H, [1, 2])
+    target_classes = [atom_class(H, 0, i) for i in (0, 1, 2)]
+    ds = trivial_defining_system(H, target_classes)
+    calls = []
+    back_substitute = EchelonBasis.back_substitute
+    monkeypatch.setattr(
+        EchelonBasis, "back_substitute", lambda basis: calls.append(basis) or back_substitute(basis)
+    )
+    up = [CohomologyClass(ext, lift_cocycle(proj, c.element)) for c in target_classes]
+    assert len(calls) == 1
+    lift_defining_system(proj, up, ds)
+    assert len(calls) == 3
+
+
 def test_lift_defining_system_input_checks():
     H = zero_diff_algebra(0, 3, 4)
     ext, proj = extend_with_acyclic_pairs(H, [1, 2])
