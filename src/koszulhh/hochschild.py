@@ -54,7 +54,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, groupby, product
+from itertools import chain, compress, cycle, groupby, repeat
 from math import comb, factorial, prod
 from typing import Iterator
 
@@ -490,12 +490,16 @@ class _BarComplex:
     carrying the orbit's size (_orbit).  Rows are assembled only for
     representative blocks: a row (word t, output coordinate r) lies in the
     block of code mdeg(r) - mdeg(t), so a word none of whose rows lands in a
-    representative is passed over before its merges are read.  Rows are
-    assembled in ascending output degree, packed on the local indices and
-    appended to their block's bucket, and each bucket is eliminated on its
-    own.  A cell assembles and ranks each of its matrices once, and the
-    filtration pass reads the same buckets for the representatives with
-    nonzero cohomology, counting each piece once per block of its orbit.
+    representative is passed over.  Rows are assembled in ascending output
+    degree, one run of words of one degree composition at a time, from
+    per-word terms that the run lays out once (_rows): streams for the
+    first and last factor, and one table per merge position, freed with the
+    run, so their memory is linear in the words of one run.
+    The rows are packed on the local indices and appended to their block's
+    bucket, and each bucket is eliminated on its own.  A cell assembles and
+    ranks each of its matrices once, and the filtration pass reads the same
+    buckets for the representatives with nonzero cohomology, counting each
+    piece once per block of its orbit.
     Tensor counts are a closed form; cochain dimensions, shapes and layouts
     are memoized per instance, so a complex is freed together with its
     HochschildComplex.
@@ -709,16 +713,28 @@ class _BarComplex:
 
         One walk over the (q+1)-factor words w of degree e, run by run of
         their degree composition.  All entries of row (w, r) lie in the block
-        of code mdeg(r) - mdeg(w), so each word first picks its output
-        coordinates r whose block is a representative, and a word with none
-        is passed over before its merges are read.  On the number v of w in
-        its run, w[1:] and w[:-1] drop the first and last digit, whose
-        factors act on the values there (outer terms).  Adjacent factors
-        merge only within one block b (a v kills everything, distinct blocks
-        are orthogonal), and a merge at i puts digit b (radix nj) in place of
-        digits i, i+1 (inner terms, module coordinate unchanged).  The row is
-        packed on the local column indices of its weight block, and repeated
-        entries cancel mod 2.
+        of code mdeg(r) - mdeg(w), so each word picks its output coordinates
+        r whose block is a representative, and a word with none is passed
+        over.  The rest depends only on the number v of w in its run, so each
+        run lays out its per-word terms once, with no Python step per word:
+        - outer terms: the first factor, digit v // (run / radix_0), acts
+          on the value at w[1:], and the last, digit v % radix_q, at
+          w[:-1].  The numbers of w[1:] repeat with period run / radix_0
+          and those of w[:-1] rise every radix_q words, so the factor's
+          action (None if it acts as zero) and the truncation's base column
+          are itertools streams over ranges, and take no memory per word.
+        - inner terms: adjacent factors merge only within one block b (a v
+          kills everything, distinct blocks are orthogonal), and a merge at
+          i puts digit b (radix nj) in place of digits i, i+1, with the
+          module coordinate unchanged.  A table per position i holds the
+          merged word's base column, or -1.  The words whose digits i, i+1
+          both name block b form a grid of leading by trailing index, filled
+          by slice assignment one range per line along the shorter side.
+        The kept words then zip their entries, and each row is packed on the
+        local column indices of its weight block with at most 2 + q lookups;
+        repeated entries cancel mod 2.  The q merge tables hold one entry per
+        word of the run, so the transient memory is linear in the longest
+        run.
         """
         hc, m, nj = self.hc, self.hc.m, self.hc.nj
         dim_out = hc.module_dim(e + self.s)
@@ -727,14 +743,17 @@ class _BarComplex:
         local = layout.local
         module = self._module_codes(e + self.s, layout.radix)
         picked: dict[int, list[tuple[int, int]]] = {}  # word code -> (r, block) of its rows
-        # per factor degree d, per factor index: the input column of each
-        # output coordinate, the start of the input degree run it reads and
-        # that run's module dimension; None for a factor acting as zero
+        # per factor degree d: the start of the input degree run its factors
+        # read, that run's module dimension, and per factor index the input
+        # column of each output coordinate (None for a factor acting as zero;
+        # on a zero input piece every factor is, and the dimension 1 there
+        # only keeps the unread base column ranges valid)
         acting = {}
         for d in range(1, e + 1):
-            j, off = e - d + self.s, self.cochain_dim(q, e - d - 1)
+            j = e - d + self.s
             tables = (action(hc.alg, self._factor_element(d, i), j) for i in range(self.q_dim(d)))
-            acting[d] = [(cols, off, hc.module_dim(j)) if max(cols) >= 0 else None for cols in tables]
+            acts = [cols if max(cols) >= 0 else None for cols in tables]
+            acting[d] = self.cochain_dim(q, e - d - 1), hc.module_dim(j) or 1, acts
         base_off = self.cochain_dim(q, e - 1)
         merged = self._shapes(q, e)
         for comp, (_, radices) in self._shapes(q + 1, e).items():
@@ -744,38 +763,57 @@ class _BarComplex:
             picks = list(map(picked.__getitem__, codes))
             if not any(picks):
                 continue
-            firsts, lasts = acting[comp[0]], acting[comp[-1]]
+            n = len(codes)
             head = self._shapes(q, e - comp[0])[comp[1:]][0]
             tail = self._shapes(q, e - comp[-1])[comp[:-1]][0]
-            head_mod, tail_div = prod(radices[1:]), radices[-1]
-            merges = []  # (i, start of the merged run, block offsets of digits i, i+1, lo, span)
+            # outer terms, streamed over the run: word v's first factor is its
+            # digit v // hm, acting at w[1:] = head + v % hm, and its last is
+            # digit v % radix, acting at w[:-1] = tail + v // radix
+            off, dim, acts = acting[comp[0]]
+            hm = n // radices[0]
+            bases = range(off + head * dim, off + (head + hm) * dim, dim)
+            firsts = chain.from_iterable(map(repeat, acts, repeat(hm)))
+            first_bases = chain.from_iterable(repeat(bases, radices[0]))
+            off, dim, acts = acting[comp[-1]]
+            bases = range(off + tail * dim, off + (tail + n // radices[-1]) * dim, dim)
+            lasts, last_bases = cycle(acts), chain.from_iterable(map(repeat, bases, repeat(radices[-1])))
+            inner = []  # per merge position, the merged base column of each word or -1
             for i in range(q if nj else 0):
                 lo = prod(radices[i + 2 :])
+                span = radices[i] * radices[i + 1] * lo
+                lead, step = n // span, nj * lo * dim_out
                 start = merged[comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2 :]][0]
                 off1, off2 = (m if d == 1 else 0 for d in comp[i : i + 2])
-                merges.append((i, start, off1, off2, lo, radices[i] * radices[i + 1] * lo))
-            words = zip(count(), product(*map(range, radices)), picks)
-            for v, digits, pick in compress(words, picks):
-                outer = []  # (input column of each output coordinate, base column)
-                act = firsts[digits[0]]
-                if act:
-                    outer.append((act[0], act[1] + (head + v % head_mod) * act[2]))
-                act = lasts[digits[-1]]
-                if act:
-                    outer.append((act[0], act[1] + (tail + v // tail_div) * act[2]))
-                inner = []
-                for i, start, off1, off2, lo, span in merges:
-                    b = digits[i] - off1
-                    if b >= 0 and b == digits[i + 1] - off2:
-                        inner.append(base_off + (start + (v // span * nj + b) * lo + v % lo) * dim_out)
+                table = [-1] * n
+                for b in range(nj):
+                    # word v0 + h * span + t merges into base u0 + h * step + t * dim_out
+                    v0 = ((b + off1) * radices[i + 1] + b + off2) * lo
+                    u0 = base_off + (start + b * lo) * dim_out
+                    if lead <= lo:
+                        for h in range(lead):
+                            v, u = v0 + h * span, u0 + h * step
+                            table[v : v + lo] = range(u, u + lo * dim_out, dim_out)
+                    else:
+                        for t in range(lo):
+                            u = u0 + t * dim_out
+                            table[v0 + t :: span] = range(u, u + lead * step, step)
+                inner.append(table)
+            inner_bases = zip(*inner) if inner else repeat(())
+            words = zip(picks, firsts, first_bases, lasts, last_bases, inner_bases)
+            for pick, first, first_base, last, last_base, merges in compress(words, picks):
                 for r, b in pick:
                     packed = 0
-                    for cols, base in outer:
-                        c = cols[r]
+                    if first:
+                        c = first[r]
                         if c >= 0:
-                            packed ^= 1 << local[base + c]
-                    for base in inner:
-                        packed ^= 1 << local[base + r]
+                            packed ^= 1 << local[first_base + c]
+                    if last:
+                        c = last[r]
+                        if c >= 0:
+                            packed ^= 1 << local[last_base + c]
+                    for u in merges:
+                        if u >= 0:
+                            packed ^= 1 << local[u + r]
                     if packed:
                         yield b, packed
 

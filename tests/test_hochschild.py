@@ -13,6 +13,8 @@ from itertools import permutations
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from koszulhh.algebra import BooleanRing, ConnectedSumAlgebra, Subring, action
 from koszulhh.errors import CapExceeded
@@ -545,6 +547,21 @@ BAR_CELLS = [
 ]
 
 
+# more term tables for the exact row order: (2, 2, None, 3, -1) and
+# (1, 2, None, 4, -2) lay out merges along the leading and along the
+# trailing index, each over more than one stripe; also two v's beside a
+# coarser subring and beside one atom, one block of three atoms, and v-free
+# words of four factors
+ROW_ORDER_CELLS = [
+    (2, 2, None, 3, -1),
+    (2, 3, ((0, 1), (2,)), 2, -1),
+    (1, 2, None, 4, -2),
+    (0, 2, None, 3, -1),
+    (2, 1, None, 2, 0),
+    (1, 3, ((0, 1, 2),), 3, -1),
+]
+
+
 def _bar_complex(m, n, blocks, s):
     ring = BooleanRing(n) if n else None
     subring = None
@@ -589,7 +606,20 @@ def test_tensor_counts_and_word_runs_match_the_recurrence(m, n):
                 assert start == counts.get((q, e), 0)
 
 
-@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+def _expected_rows(bar, q, e, layout, weights, block_of):
+    """(block, row) of each explicit row of output degree e whose support
+    lies in a laid-out block, packed on the block's local columns, in the
+    reference's order: word order, then output coordinate."""
+    expected = []
+    for entries in _reference_bar_rows(bar, q, e):
+        support = [c for c in set(entries) if entries.count(c) % 2]
+        if support and weights[support[0]] in block_of:
+            b = block_of[weights[support[0]]]
+            expected.append((b, sum(1 << layout.local[c] for c in support)))
+    return expected
+
+
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS + ROW_ORDER_CELLS)
 def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
     # whole rows, outer action terms included, so the positions of each
     # word's truncations and merges and the words passed over are all checked,
@@ -601,12 +631,7 @@ def test_bar_word_positions_match_the_explicit_words(m, n, blocks, k, s):
             weights = _reference_weights(bar, q, top)
             block_of = _weight_blocks(layout, weights, laid_out)
             for e in range(top + 1):
-                expected = []
-                for entries in _reference_bar_rows(bar, q, e):
-                    support = [c for c in set(entries) if entries.count(c) % 2]
-                    if support and weights[support[0]] in block_of:
-                        b = block_of[weights[support[0]]]
-                        expected.append((b, sum(1 << layout.local[c] for c in support)))
+                expected = _expected_rows(bar, q, e, layout, weights, block_of)
                 assert list(bar._rows(q, e, layout)) == expected, (q, e)
 
 
@@ -644,12 +669,43 @@ def test_every_bar_row_lies_in_one_weight_block(m, n, blocks, k, s):
             assert sum(map(prod, zip(layout.orbit, ranks))) == echelon_rank(packed)
 
 
-@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS)
+@pytest.mark.parametrize("m, n, blocks, k, s", BAR_CELLS + ROW_ORDER_CELLS)
 def test_bar_filtration_matches_the_per_floor_reference(m, n, blocks, k, s):
     bar = _bar_complex(m, n, blocks, s)
     pieces = [bar.cohomology(k, top)[0] for top in range(7)]
     assert pieces == [_reference_graded_cohomology(bar, k, top) for top in range(7)]
     assert sum(pieces[-1]) == bar.hc.hh(k, s).cohomology
+
+
+@st.composite
+def _bar_cells(draw):
+    """(m, n, blocks, k, s, top) with m <= 2, n <= 3, an optional coarser
+    subring, k <= 3, -k-1 <= s <= 1 and top <= 4."""
+    m, n = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    blocks = None
+    if n and draw(st.booleans()):
+        labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        groups = {}
+        for a, label in enumerate(labels):
+            groups.setdefault(label, []).append(a)
+        blocks = tuple(map(tuple, groups.values()))
+    k = draw(st.integers(0, 3))
+    return m, n, blocks, k, draw(st.integers(-k - 1, 1)), draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bar_cells())
+def test_bar_rows_and_pieces_match_the_explicit_words_on_drawn_cells(cell):
+    m, n, blocks, k, s, top = cell
+    (bar, laid_out), _ = _complexes(m, n, blocks, s)
+    for q in range(max(k - 1, 0), k + 1):
+        layout = bar._layout(q, top)
+        weights = _reference_weights(bar, q, top)
+        block_of = _weight_blocks(layout, weights, laid_out)
+        for e in range(top + 1):
+            expected = _expected_rows(bar, q, e, layout, weights, block_of)
+            assert list(bar._rows(q, e, layout)) == expected, (q, e)
+    assert bar.cohomology(k, top)[0] == _reference_graded_cohomology(bar, k, top)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
