@@ -57,6 +57,14 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a "--" given as an option's value (--atoms=--) and
+        # hands the action an empty list, which skips its type and choices
+        if action.option_strings and arg_strings == ["--"]:
+            name = "/".join(action.option_strings)
+            raise UsageError(f"argument {name}: expected a value, got '--'")
+        return super()._get_values(action, arg_strings)
+
 
 # -- input parsing ---------------------------------------------------------
 

@@ -16,7 +16,13 @@ read that one form; its rank is ``echelon_rank`` of its plain rows.  A matrix wi
 Koszul cochain differentials and strand matrices, is stored as one pair of
 index arrays ``first``, ``second`` (-1 for an absent entry, ``index_code``
 for the type) and gets its rank and kernel from one union-find instead
-(``pair_components``, ``sparse_rank``).
+(``pair_components``, ``sparse_rank``).  The union-find is one
+``index_code`` array of parents, four bytes a column from 128 columns.  A
+merge's root is the smaller index and path halving only moves a parent to
+an ancestor, so a column's parent is never above it: a root is a column
+that is its own parent, ``sparse_rank`` counts those without a find per
+column, and ``pair_components`` takes every column to its root in one
+ascending pass and returns that root array.
 
 The one text format for a vector is a 0/1 string whose leftmost character
 is entry 0, read by ``from01`` and written by ``to01``:
@@ -36,6 +42,8 @@ is entry 0, read by ``from01`` and written by ``to01``:
 
 from __future__ import annotations
 
+from array import array
+from operator import countOf, eq
 from typing import Iterable
 
 
@@ -284,60 +292,68 @@ def echelon_rank(int_rows: Iterable[int]) -> int:
     return basis.rank
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1; the smaller index is the root of a merge."""
+def index_code(n: int) -> str:
+    """``array`` type code for indices below n and -1: one byte below 128,
+    four below 2**31, eight from there."""
+    return "b" if n < 1 << 7 else "i" if n < 1 << 31 else "q"
 
-    __slots__ = ("parent",)
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _components(first, second, n_cols: int) -> tuple[array, bytearray]:
+    """Union-find over the columns of a pair matrix: (parent, forced).
 
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
+    A two-entry row joins its columns' sets under the smaller root, and a
+    one-entry row marks its column's root forced; a merge moves the mark of
+    the larger root to the smaller one, so marks sit on roots only.  Path
+    halving moves a parent to an ancestor, so ``parent[c] <= c`` throughout
+    and c is a root exactly when ``parent[c] == c``.
+    """
+    parent = array(index_code(n_cols), range(n_cols))
+    forced = bytearray(n_cols)
+
+    def find(a: int) -> int:
+        while (p := parent[a]) != a:
+            parent[a] = a = parent[p]
         return a
 
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+    for a, b in zip(first, second):
+        if a < 0:
+            if b >= 0:
+                forced[find(b)] = 1
+        elif b < 0:
+            forced[find(a)] = 1
+        else:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                if ra > rb:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                if forced[rb]:
+                    forced[rb] = 0
+                    forced[ra] = 1
+    return parent, forced
 
 
-def pair_components(first, second, n_cols: int) -> tuple[UnionFind, list[int]]:
+def pair_components(first, second, n_cols: int) -> tuple[array, list[int]]:
     """Rank and kernel of a GF(2) matrix with at most two entries per row.
 
     Row i has its entries at columns ``first[i]`` and ``second[i]``, with -1
     for an absent entry.  A two-entry row joins its columns, a one-entry row
     forces its column to zero, and each component no row forces carries one
-    kernel vector: the sum of its columns.  Returns the union-find over the
-    columns and the roots of the free components, ascending; the rank is
-    ``n_cols`` minus their number.
+    kernel vector: the sum of its columns.  Returns each column's root, the
+    smallest column of its component, as an array, and the roots of the free
+    components, ascending; the rank is ``n_cols`` minus their number.  Since
+    a parent is never above its column, one ascending pass of
+    ``parent[c] = parent[parent[c]]`` takes every column to its root.
     """
-    dsu = UnionFind(n_cols)
-    forced = bytearray(n_cols)
-    for a, b in zip(first, second):
-        if a < 0:
-            if b >= 0:
-                forced[b] = 1
-        elif b < 0:
-            forced[a] = 1
-        else:
-            dsu.union(a, b)
-    roots_forced = bytearray(n_cols)
+    roots, forced = _components(first, second, n_cols)
     for c in range(n_cols):
-        if forced[c]:
-            roots_forced[dsu.find(c)] = 1
-    free_roots = [c for c in range(n_cols) if dsu.find(c) == c and not roots_forced[c]]
-    return dsu, free_roots
-
-
-def index_code(n: int) -> str:
-    """``array`` type code for indices below n: four bytes unless n reaches 2**31."""
-    return "i" if n < 1 << 31 else "q"
+        roots[c] = roots[roots[c]]
+    return roots, [c for c, r in enumerate(roots) if r == c and not forced[c]]
 
 
 def sparse_rank(first, second, n_cols: int) -> int:
-    """Rank of a GF(2) matrix with at most two entries per row, as ``pair_components`` reads it."""
-    return n_cols - len(pair_components(first, second, n_cols)[1])
+    """Rank of a GF(2) matrix with at most two entries per row: ``n_cols``
+    minus the components, plus the forced ones, counted off the union-find
+    with no pass in Python over the columns."""
+    parent, forced = _components(first, second, n_cols)
+    return n_cols - countOf(map(eq, parent, range(n_cols)), True) + forced.count(1)

@@ -10,7 +10,7 @@ one basis element), so it is stored as two column indices per row, and
 ranks and kernels reduce to union-find on the coordinate graph; a rank
 into or out of a zero module piece is 0 without any matrix.  Memory is
 linear in the cochain dimension; the (v_dim, atoms) = (2, 4) grid through
-k = 7 runs in about 83 MB.  Coboundaries of single cochains are computed
+k = 7 runs in about 53 MB.  Coboundaries of single cochains are computed
 sequence by sequence without building the matrix.  The action of a
 generator or bar tensor factor on the module is read from algebra.action,
 the one table of the product, so this module does not repeat the basis
@@ -161,8 +161,8 @@ class SparseDifferential:
 
     Row i has its entries at columns first[i] and second[i]; -1 marks an
     absent entry, and the two are never equal.  Storage is 8 bytes per row
-    (index_code gives 4-byte indices), so memory is linear in the cochain
-    dimension.
+    (index_code gives 4-byte indices from 128 columns), so memory is linear
+    in the cochain dimension.
     """
 
     first: array
@@ -303,10 +303,10 @@ class HochschildComplex:
     def cocycle_space(self, k: int, s: int) -> list[int]:
         """Kernel basis of the coboundary as flat column bitmasks."""
         diff = self.differential(k, s)
-        dsu, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
+        roots, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
         members: dict[int, list[int]] = {r: [] for r in free_roots}
-        for c in range(diff.n_cols):
-            group = members.get(dsu.find(c))
+        for c, r in enumerate(roots):
+            group = members.get(r)
             if group is not None:
                 group.append(c)
         return [_column_mask(cs) for cs in members.values()]
@@ -380,14 +380,14 @@ class HochschildComplex:
         """Sum of a random subset of the cocycle_space basis, one bit per free component."""
         capped_count(self.m, self.nj, k, self.cap)
         diff = self.differential(k, s)
-        dsu, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
+        roots, free_roots = pair_components(diff.first, diff.second, diff.n_cols)
         chosen = bytearray(diff.n_cols)
         for r in free_roots:
             chosen[r] = rng.getrandbits(1)
         dim = self.module_dim(k + s)
         values = [0] * count_admissible(self.m, self.nj, k)
-        for c in range(diff.n_cols):
-            if chosen[dsu.find(c)]:
+        for c, r in enumerate(roots):
+            if chosen[r]:
                 values[c // dim] |= 1 << (c % dim)
         return Cochain(k, s, tuple(values))
 

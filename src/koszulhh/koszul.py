@@ -64,7 +64,10 @@ class SequenceLinks(NamedTuple):
     """Per admissible sequence u, in lex order: u[0], u[-1], pos(u[1:]), pos(u[:-1]).
 
     Positions index the sequences one entry shorter.  The one sequence of
-    length 0 has no ends and no truncations; its four entries are -1.
+    length 0 has no ends and no truncations; its four entries are -1.  Each
+    array takes the ``index_code`` of what it holds: ``first`` and ``last``
+    hold generator indices, one byte each below 128 generators, and the
+    positions four bytes from 128 sequences, so a sequence costs 10 bytes.
     """
 
     first: array
@@ -112,18 +115,18 @@ def sequence_links(m: int, n: int, k: int) -> SequenceLinks:
 
 def _level(m: int, n: int, k: int) -> SequenceLinks:
     """Level k of sequence_links, built from the kept levels k-1 and k-2."""
-    code = index_code(count_admissible(m, n, k))
+    code, gen_code = index_code(count_admissible(m, n, k)), index_code(m + n)
     if k == 0:
         return SequenceLinks(*(array(code, [-1]) for _ in range(4)))
     gens = range(m + n)
     if k == 1:
         zeros = array(code, [0]) * len(gens)
-        return SequenceLinks(array(code, gens), array(code, gens), zeros, array(code, zeros))
+        return SequenceLinks(array(gen_code, gens), array(gen_code, gens), zeros, array(code, zeros))
     up = sequence_links(m, n, k - 1)
     after = [[h for h in gens if h != g or g < m] for g in gens]
     if k > 2:
         start = _child_starts(m, n, k - 2)
-    first, last, suffix, prefix = (array(code) for _ in range(4))
+    first, last, suffix, prefix = array(gen_code), array(gen_code), array(code), array(code)
     for p, (g0, g1, r) in enumerate(zip(up.first, up.last, up.suffix)):
         kids = after[g1]
         first.extend(repeat(g0, len(kids)))

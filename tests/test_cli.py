@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface."""
 
+import argparse
 import csv
 import io
 import json
@@ -806,6 +807,26 @@ def test_argument_errors_exit_2_in_one_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+SUBPARSERS = next(
+    a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (command, action.option_strings[0])
+        for command, parser in SUBPARSERS.items()
+        for action in parser._actions
+        if action.option_strings and action.nargs != 0
+    ],
+)
+def test_an_option_given_a_bare_double_dash_exits_2_in_one_line(capsys, command, option):
+    code, out, err = run(capsys, command, f"{option}=--")
+    assert code == 2 and out == ""
+    assert err == f"error: argument {option}: expected a value, got '--'\n"
 
 
 def test_replay_round_trip(capsys, tmp_path):

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 import re
+import tracemalloc
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from koszulhh.gf2 import (
@@ -334,28 +335,75 @@ def two_entry_rows(draw):
     return cols, [(a, b) if a != b else (a, -1) for a, b in pairs]
 
 
+def pair_arrays(case) -> tuple[array, array, int]:
+    cols, pairs = case
+    code = index_code(cols)
+    return array(code, [a for a, _ in pairs]), array(code, [b for _, b in pairs]), cols
+
+
 @PROPERTY
 @given(two_entry_rows())
+# merges out of order: (3, 1) walks 3 -> 2 -> 1 -> 0, where a halving step
+# that moves the wrong entry splits 1 off its component
+@example((4, [(2, 3), (1, 2), (0, 1), (3, 1)]))
+@example((4, [(3, -1), (2, 3), (-1, 1), (0, 1), (1, 2)]))
 def test_sparse_rank_matches_dense_rank(case):
     cols, pairs = case
     rank = BitMatrix([sum(1 << c for c in pair if c >= 0) for pair in pairs], cols).rank()
-    code = index_code(cols)
-    first, second = array(code, [a for a, _ in pairs]), array(code, [b for _, b in pairs])
+    first, second, _ = pair_arrays(case)
     assert sparse_rank(first, second, cols) == rank
+    assert cols - len(pair_components(first, second, cols)[1]) == rank
+
+
+def reference_components(cols: int, pairs) -> list[set[int]]:
+    """The column sets joined by two-entry rows, by repeated merging."""
+    parts = [{c} for c in range(cols)]
+    for a, b in pairs:
+        if a >= 0 and b >= 0 and parts[a] is not parts[b]:
+            joined = parts[a] | parts[b]
+            for c in joined:
+                parts[c] = joined
+    return parts
 
 
 @PROPERTY
 @given(two_entry_rows())
+@example((4, [(2, 3), (1, 2), (0, 1), (3, 1)]))
 def test_pair_components_give_the_dense_rank_and_kernel(case):
     cols, pairs = case
     m = BitMatrix([sum(1 << c for c in pair if c >= 0) for pair in pairs], cols)
-    dsu, free_roots = pair_components([a for a, _ in pairs], [b for _, b in pairs], cols)
+    roots, free_roots = pair_components(*pair_arrays(case))
+    # every column points at the smallest column of its component
+    assert list(roots) == [min(part) for part in reference_components(cols, pairs)]
     assert cols - len(free_roots) == m.rank()
     for root in free_roots:
-        assert m.mul_vec(sum(1 << c for c in range(cols) if dsu.find(c) == root)) == 0
+        assert roots[root] == root
+        assert m.mul_vec(sum(1 << c for c, r in enumerate(roots) if r == root)) == 0
+
+
+def test_ranking_a_pair_matrix_allocates_a_few_bytes_a_column():
+    # a path over every column, its rows shuffled, plus one forced column
+    cols = 1 << 17
+    code = index_code(cols)
+    rows = [(c, c + 1) for c in range(cols - 1)] + [(cols - 1, -1)]
+    random.Random(5).shuffle(rows)
+    first, second = array(code, [a for a, _ in rows]), array(code, [b for _, b in rows])
+    del rows
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rank = sparse_rank(first, second, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == cols
+    assert peak - before <= 8 * cols
 
 
 def test_index_code_holds_every_index_below_n():
     for n in (1, (1 << 31) - 1, 1 << 31, 1 << 40):
         assert array(index_code(n), [-1, n - 1])[-1] == n - 1
+    for n in (127, 128):
+        assert array(index_code(n), [-1, n - 1])[-1] == n - 1
+    assert index_code(127) == "b" and index_code(128) == "i"
     assert index_code((1 << 31) - 1) == "i" and index_code(1 << 31) == "q"

@@ -97,6 +97,14 @@ def test_sequence_links_read_the_tuples(m, n, k):
     assert list(links.prefix) == [index[t[:-1]] for t in seqs]
 
 
+@pytest.mark.parametrize(
+    "m, n, k, size", [(0, 3, 0, 1), (2, 3, 1, 1), (2, 4, 5, 1), (1, 126, 2, 1), (0, 128, 1, 4)]
+)
+def test_sequence_links_keep_generators_in_one_byte_below_128(m, n, k, size):
+    links = sequence_links(m, n, k)
+    assert links.first.itemsize == links.last.itemsize == size
+
+
 def test_sequence_links_reject_negative_length():
     with pytest.raises(ValueError):
         sequence_links(1, 2, -1)
